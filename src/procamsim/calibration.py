@@ -9,7 +9,6 @@ intrinsics for any drive current.
 """
 from __future__ import annotations
 
-import datetime
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .errors import (
     InsufficientViews,
     IoError,
     NonPositiveDefinite,
+    ProcamError,
     SchemaError,
 )
 from .geometry import (
@@ -240,7 +240,6 @@ class IntrinsicProfile:
     entries: tuple
     device_wh: tuple[int, int]
     etl_hash: str = ""
-    created: str = ""
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -350,7 +349,7 @@ def sweep_calibrate(
             views.append(CalibView(np.vstack(obj), np.vstack(img)))
         try:
             intr, rms = calibrate(views)
-        except Exception as exc:
+        except ProcamError as exc:
             raise type(exc)(f"station {z:g} mm: {exc}") from exc
         entries.append(
             ProfileEntry(
@@ -365,7 +364,6 @@ def sweep_calibrate(
         entries=tuple(entries),
         device_wh=device_wh,
         etl_hash=_etl_hash(etl),
-        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
 
 
@@ -415,7 +413,6 @@ def save_profile(profile: IntrinsicProfile, path) -> None:
         "version": PROFILE_VERSION,
         "device": {"width": profile.device_wh[0], "height": profile.device_wh[1]},
         "etl_hash": profile.etl_hash,
-        "created": profile.created,
         "entries": [
             {
                 "power_d": e.power_d,
@@ -476,7 +473,6 @@ def load_profile(path) -> IntrinsicProfile:
             entries=tuple(entries),
             device_wh=(int(device["width"]), int(device["height"])),
             etl_hash=str(doc.get("etl_hash", "")),
-            created=str(doc.get("created", "")),
         )
     except InsufficientStations as exc:
         raise SchemaError(str(exc)) from exc

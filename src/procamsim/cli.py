@@ -40,19 +40,15 @@ EXIT_LOST = 4
 FRAME_TIME_WARN_MS = 1000.0
 
 
-def _load_targets(cfg: RunConfig) -> dict:
-    return load_scene(cfg.scene_path)
-
-
-def _require_target(targets: dict, name: str):
+def _require_target(cfg: RunConfig, name: str):
+    targets = load_scene(cfg.scene_path)
     if name not in targets:
         raise ConfigError(f"scene file does not define a {name!r} target")
     return targets[name]
 
 
 def cmd_calibrate(cfg: RunConfig, out_profile: str) -> int:
-    targets = _load_targets(cfg)
-    board = _require_target(targets, "calibration_board")
+    board = _require_target(cfg, "calibration_board")
     profile = sweep_calibrate(
         board, cfg.etl, cfg.base_intrinsics, cfg.device_wh, cfg.stations,
         detector=cfg.detector, noise=cfg.corner_noise, seed=cfg.seed,
@@ -70,15 +66,11 @@ def cmd_eval(cfg: RunConfig, profile_path: str, mode: str, fixed_at: float | Non
              out_csv: str) -> int:
     if mode == "fixed" and fixed_at is None:
         raise ConfigError("--mode fixed requires --fixed-at")
-    targets = _load_targets(cfg)
-    board = _require_target(targets, "evaluation_board")
+    board = _require_target(cfg, "evaluation_board")
     profile = load_profile(profile_path)
-    setup = EvalSetup(
-        board=board, etl=cfg.etl, base_intrinsics=cfg.base_intrinsics,
-        profile=profile, device_wh=cfg.device_wh, stations=cfg.stations,
-        tilt_deg=cfg.eval_tilt_deg, detector=cfg.detector, noise=cfg.corner_noise,
-        sensor_sigma=cfg.sensor_sigma, seed=cfg.seed,
-        settle_steps=cfg.settle_steps, ema_alpha=cfg.ema_alpha,
+    setup = EvalSetup.from_config(
+        cfg, profile, board=board, stations=cfg.stations,
+        tilt_deg=cfg.eval_tilt_deg, settle_steps=cfg.settle_steps,
     )
     rows = run_alignment_eval(setup, mode, fixed_at_mm=fixed_at or 150.0)
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
@@ -95,16 +87,12 @@ def cmd_eval(cfg: RunConfig, profile_path: str, mode: str, fixed_at: float | Non
 
 
 def cmd_dpm(cfg: RunConfig, profile_path: str, trajectory_path: str, out_dir: str) -> int:
-    targets = _load_targets(cfg)
-    prism = _require_target(targets, "prism")
+    prism = _require_target(cfg, "prism")
     profile = load_profile(profile_path)
     trajectory = load_trajectory(trajectory_path)
     os.makedirs(out_dir, exist_ok=True)
-    setup = DpmSetup(
-        prism=prism, etl=cfg.etl, base_intrinsics=cfg.base_intrinsics,
-        profile=profile, device_wh=cfg.device_wh, detector=cfg.detector,
-        noise=cfg.corner_noise, sensor_sigma=cfg.sensor_sigma, seed=cfg.seed,
-        ema_alpha=cfg.ema_alpha, frames=cfg.dpm_frames,
+    setup = DpmSetup.from_config(
+        cfg, profile, prism=prism, frames=cfg.dpm_frames,
         wiener_nsr=cfg.wiener_nsr, ambient=cfg.ambient,
         external_camera=cfg.external_camera,
     )
@@ -142,8 +130,7 @@ def cmd_dpm(cfg: RunConfig, profile_path: str, trajectory_path: str, out_dir: st
 
 
 def cmd_render(cfg: RunConfig, distance: float, power: float, out_path: str) -> int:
-    targets = _load_targets(cfg)
-    board = _require_target(targets, "evaluation_board")
+    board = _require_target(cfg, "evaluation_board")
     pose = Pose(np.eye(3), np.array([0.0, 0.0, distance]))
     img = render_capture(board, pose, cfg.etl, cfg.base_intrinsics, power,
                          cfg.device_wh, noise_sigma=cfg.sensor_sigma, seed=cfg.seed)

@@ -16,7 +16,6 @@ from .optics import EtlModel
 from .vision import NoiseModel
 
 DETECTOR_MODES = ("image", "oracle")
-INTERPOLATION_KINDS = ("linear",)
 DEFAULT_STATIONS = [70.0, 90.0, 110.0, 130.0, 150.0, 170.0, 190.0, 210.0, 230.0, 250.0]
 
 
@@ -28,9 +27,7 @@ class RunConfig:
     etl: EtlModel
     scene_path: str
     stations: list[float]
-    output_dir: str
     detector: str = "image"
-    interpolation: str = "linear"
     eval_tilt_deg: float = 28.0
     settle_steps: int = 10
     ema_alpha: float = 0.5
@@ -44,13 +41,17 @@ class RunConfig:
     def __post_init__(self):
         if self.detector not in DETECTOR_MODES:
             raise ConfigError(f"detector must be one of {DETECTOR_MODES}")
-        if self.interpolation not in INTERPOLATION_KINDS:
-            raise ConfigError(f"interpolation must be one of {INTERPOLATION_KINDS}")
         if not self.stations:
             raise ConfigError("stations list is empty")
         for z in self.stations:
             if not (70.0 <= z <= 250.0):
                 raise ConfigError(f"station {z} mm outside the 70..250 mm working range")
+        if self.dpm_frames < 1:
+            raise ConfigError(f"dpm_frames must be at least 1, got {self.dpm_frames}")
+        if not self.wiener_nsr > 0.0:
+            raise ConfigError(f"wiener_nsr must be positive, got {self.wiener_nsr}")
+        if not 0.0 < self.ema_alpha <= 1.0:
+            raise ConfigError(f"ema_alpha must lie in (0, 1], got {self.ema_alpha}")
 
 
 def _get(doc: dict, key: str, kind, default=None, required: bool = False):
@@ -132,9 +133,7 @@ def load_config(path) -> RunConfig:
         etl=etl,
         scene_path=scene_path,
         stations=stations,
-        output_dir=_get(doc, "output_dir", str, default="out"),
         detector=_get(doc, "detector", str, default="image"),
-        interpolation=_get(doc, "interpolation", str, default="linear"),
         eval_tilt_deg=_get(doc, "eval_tilt_deg", float, default=28.0),
         settle_steps=_get(doc, "settle_steps", int, default=10),
         ema_alpha=_get(doc, "ema_alpha", float, default=0.5),
@@ -158,9 +157,7 @@ def default_config_document(scene_path: str = "scene.json") -> dict:
                 "breathing_beta": -0.05, "breathing_gamma": 0.5},
         "scene": scene_path,
         "stations_mm": list(DEFAULT_STATIONS),
-        "output_dir": "out",
         "detector": "image",
-        "interpolation": "linear",
         "eval_tilt_deg": 28.0,
         "settle_steps": 10,
         "ema_alpha": 0.5,

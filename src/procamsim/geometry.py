@@ -10,7 +10,7 @@ Distortion acts on normalized coordinates before the affine pixel map:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class Intrinsics:
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
 
-    def with_distortion(self, k1: float, k2: float) -> "Intrinsics":
-        return replace(self, k1=k1, k2=k2)
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -121,9 +118,6 @@ class Homography:
             m = -m
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.matrix))
 
 
 def distort_normalized(intr: Intrinsics, pn: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import optics
 from .calibration import IntrinsicProfile, interpolate
-from .errors import IoError, NoKnownMarkers, TargetLost
+from .errors import IoError, NoKnownMarkers, PointBehindCamera, TargetLost
 from .geometry import Intrinsics, Pose, project, undistort
 from .image import Image
 from .imaging import (
@@ -138,6 +138,64 @@ def recovery_state(state: ControllerState, profile: IntrinsicProfile,
     )
 
 
+@dataclass(frozen=True, kw_only=True)
+class Rig:
+    """The device: lens, raster, calibrated profile, detector and control filter.
+
+    Alignment evaluation and the dynamic run drive the same unit through the
+    same per-frame detect and control steps, which are methods here.
+    """
+
+    etl: EtlModel
+    base_intrinsics: Intrinsics
+    profile: IntrinsicProfile
+    device_wh: tuple[int, int]
+    detector: str = "image"
+    noise: NoiseModel = field(default_factory=NoiseModel)
+    sensor_sigma: float = 0.003
+    seed: int = 0
+    ema_alpha: float = EMA_ALPHA
+
+    @classmethod
+    def from_config(cls, cfg, profile: IntrinsicProfile, **fields):
+        """The rig a run config describes; ``fields`` are the subclass's own."""
+        return cls(
+            etl=cfg.etl, base_intrinsics=cfg.base_intrinsics, profile=profile,
+            device_wh=cfg.device_wh, detector=cfg.detector, noise=cfg.corner_noise,
+            sensor_sigma=cfg.sensor_sigma, seed=cfg.seed, ema_alpha=cfg.ema_alpha,
+            **fields,
+        )
+
+    def detect(self, target, pose_true: Pose, power: float, frame_seed: int):
+        """Detections for one frame and the IR capture (None for the oracle)."""
+        if self.detector == "image":
+            capture = render_capture(
+                target, pose_true, self.etl, self.base_intrinsics, power, self.device_wh,
+                noise_sigma=self.sensor_sigma, seed=frame_seed,
+            )
+            return detect_markers(capture), capture
+        if self.detector == "oracle":
+            blur = blur_radius(self.etl, pose_true.translation[2], power, optics.IR)
+            intr_true = optics.intrinsics_at_power(self.etl, self.base_intrinsics, power)
+            return oracle_detect(target, pose_true, intr_true, blur, self.noise, frame_seed), None
+        raise ValueError(f"unknown detector mode {self.detector!r}")
+
+    def step(self, state: ControllerState, target, detections, attempt: int,
+             fixed_intrinsics: Intrinsics | None = None):
+        """One control step; a lost target falls back to focus-sweep recovery.
+
+        ``attempt`` counts the losses before this frame. Returns
+        ``(state, pose)``, with ``pose`` None when the target was lost.
+        """
+        try:
+            return autofocus_step(
+                state, None, self.profile, target, self.etl, detections=detections,
+                fixed_intrinsics=fixed_intrinsics, ema_alpha=self.ema_alpha,
+            )
+        except TargetLost:
+            return recovery_state(state, self.profile, self.etl, attempt), None
+
+
 # --- projection content --------------------------------------------------------
 
 def dot_projection_texture(board: FiducialBoard) -> Image:
@@ -172,17 +230,6 @@ def stripe_projection_texture(face_width_mm: float, height_mm: float, ppm: float
 
 def tinted(texture: Image, rgb: tuple[float, float, float]) -> Image:
     return Image.from_array(texture.data * np.asarray(rgb))
-
-
-def generate_projection(
-    pose: Pose,
-    intr: Intrinsics,
-    target,
-    textures: dict[int, Image],
-    device_wh: tuple[int, int],
-) -> Image:
-    """Forward-render projection content into device pixels (black background)."""
-    return render_device_image(target, pose, intr, textures, device_wh)
 
 
 def projection_textures(target, color: tuple[float, float, float]) -> dict[int, Image]:
@@ -228,7 +275,7 @@ def face_transfer_misalignment(
         face = faces[idx]
         try:
             px = project(intr_est, pose_est, face.point_at(0.0, 0.0))
-        except Exception:
+        except PointBehindCamera:
             continue
         landed = device_px_to_face_mm(px, intr_true, pose_true, face)
         errors.append(float(np.hypot(landed[0], landed[1])))
@@ -256,23 +303,14 @@ class EvalRow:
     frames_lost: int = 0
 
 
-@dataclass
-class EvalSetup:
+@dataclass(frozen=True, kw_only=True)
+class EvalSetup(Rig):
     """Everything run_alignment_eval needs beyond mode flags."""
 
     board: FiducialBoard
-    etl: EtlModel
-    base_intrinsics: Intrinsics
-    profile: IntrinsicProfile
-    device_wh: tuple[int, int]
     stations: list[float]
     tilt_deg: float = 28.0
-    detector: str = "image"
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    sensor_sigma: float = 0.003
-    seed: int = 0
     settle_steps: int = SETTLE_STEPS
-    ema_alpha: float = EMA_ALPHA
 
 
 def _board_pose(z_mm: float, tilt_deg: float) -> Pose:
@@ -289,22 +327,6 @@ def _board_pose(z_mm: float, tilt_deg: float) -> Pose:
     return Pose(rot, np.array([0.0, 0.0, z_mm]))
 
 
-def _frame_detections(target, pose_true, power, frame_seed, *, detector, etl,
-                      base_intrinsics, device_wh, sensor_sigma, noise):
-    """Detections for one frame, via the image detector or the oracle."""
-    if detector == "image":
-        capture = render_capture(
-            target, pose_true, etl, base_intrinsics, power, device_wh,
-            noise_sigma=sensor_sigma, seed=frame_seed,
-        )
-        return detect_markers(capture), capture
-    if detector == "oracle":
-        blur = blur_radius(etl, pose_true.translation[2], power, optics.IR)
-        intr_true = optics.intrinsics_at_power(etl, base_intrinsics, power)
-        return oracle_detect(target, pose_true, intr_true, blur, noise, frame_seed), None
-    raise ValueError(f"unknown detector mode {detector!r}")
-
-
 def run_station(setup: EvalSetup, z_mm: float, fixed_intr: Intrinsics | None):
     """Settle the loop at one station; returns (state, pose_est, lost_count)."""
     target = setup.board
@@ -317,21 +339,12 @@ def run_station(setup: EvalSetup, z_mm: float, fixed_intr: Intrinsics | None):
     while steps < max_steps and (steps < setup.settle_steps or pose_est is None):
         frame_seed = (setup.seed * 1_000_003 + int(z_mm) * 977 + steps) & 0x7FFFFFFF
         power = power_for_current(setup.etl, state.drive_current)
-        detections, _ = _frame_detections(
-            target, pose_true, power, frame_seed,
-            detector=setup.detector, etl=setup.etl,
-            base_intrinsics=setup.base_intrinsics, device_wh=setup.device_wh,
-            sensor_sigma=setup.sensor_sigma, noise=setup.noise,
-        )
-        try:
-            state, pose_est = autofocus_step(
-                state, None, setup.profile, target, setup.etl,
-                detections=detections, fixed_intrinsics=fixed_intr,
-                ema_alpha=setup.ema_alpha,
-            )
-        except TargetLost:
+        detections, _ = setup.detect(target, pose_true, power, frame_seed)
+        state, pose = setup.step(state, target, detections, lost, fixed_intr)
+        if pose is None:
             lost += 1
-            state = recovery_state(state, setup.profile, setup.etl, lost - 1)
+        else:
+            pose_est = pose
         steps += 1
     if pose_est is None:
         raise TargetLost(f"station {z_mm:g} mm: no detection within {max_steps} frames")
@@ -344,7 +357,7 @@ def measure_station_misalignment(setup, z_mm, state, pose_est):
     pose_true = _board_pose(z_mm, setup.tilt_deg)
     power = power_for_current(setup.etl, state.drive_current)
     textures = projection_textures(board, (1.0, 1.0, 1.0))
-    device_img = generate_projection(pose_est, state.active_intrinsics, board,
+    device_img = render_device_image(board, pose_est, state.active_intrinsics,
                                      textures, setup.device_wh)
     irradiance = render_projection_on_surface(
         device_img, board, pose_true, setup.etl, setup.base_intrinsics, power,
@@ -431,18 +444,11 @@ METRICS_FIELDS = [
 ]
 
 
-@dataclass
-class DpmSetup:
+@dataclass(frozen=True, kw_only=True)
+class DpmSetup(Rig):
+    """Everything run_dpm needs beyond the trajectory."""
+
     prism: PrismTarget
-    etl: EtlModel
-    base_intrinsics: Intrinsics
-    profile: IntrinsicProfile
-    device_wh: tuple[int, int]
-    detector: str = "image"
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    sensor_sigma: float = 0.003
-    seed: int = 0
-    ema_alpha: float = EMA_ALPHA
     frames: int = 60
     wiener_nsr: float = 0.01
     ambient: float = 0.15
@@ -472,27 +478,13 @@ def run_dpm(setup: DpmSetup, trajectory: Trajectory, out_dir=None):
 
         t0 = time.perf_counter()
         frame_seed = (setup.seed * 1_000_003 + k) & 0x7FFFFFFF
-        detections, capture = _frame_detections(
-            target, pose_true, power, frame_seed,
-            detector=setup.detector, etl=setup.etl,
-            base_intrinsics=setup.base_intrinsics, device_wh=setup.device_wh,
-            sensor_sigma=setup.sensor_sigma, noise=setup.noise,
-        )
+        detections, capture = setup.detect(target, pose_true, power, frame_seed)
         timings["capture_detect"] = 1000.0 * (time.perf_counter() - t0)
 
-        lost = False
-        pose_est = None
         t0 = time.perf_counter()
-        try:
-            state, pose_est = autofocus_step(
-                state, None, setup.profile, target, setup.etl,
-                detections=detections, ema_alpha=setup.ema_alpha,
-            )
-            lost_attempts = 0
-        except TargetLost:
-            lost = True
-            lost_attempts += 1
-            state = recovery_state(state, setup.profile, setup.etl, lost_attempts - 1)
+        state, pose_est = setup.step(state, target, detections, lost_attempts)
+        lost = pose_est is None
+        lost_attempts = lost_attempts + 1 if lost else 0
         timings["control"] = 1000.0 * (time.perf_counter() - t0)
 
         est_z = state.filtered_distance if state.filtered_distance is not None else setup.etl.z0
@@ -504,11 +496,11 @@ def run_dpm(setup: DpmSetup, trajectory: Trajectory, out_dir=None):
         misalignment = math.inf
         pose_err_mm = math.inf
         pose_err_deg = math.inf
-        if not lost and pose_est is not None:
+        if not lost:
             t0 = time.perf_counter()
             textures = projection_textures(target, ZONE_RGB[zone])
-            device_img = generate_projection(pose_est, state.active_intrinsics,
-                                             target, textures, setup.device_wh)
+            device_img = render_device_image(target, pose_est, state.active_intrinsics,
+                                             textures, setup.device_wh)
             timings["generate"] = 1000.0 * (time.perf_counter() - t0)
 
             t0 = time.perf_counter()

@@ -179,7 +179,10 @@ class FiducialBoard:
 
     def faces(self) -> list["SceneFace"]:
         if self._faces is None:
-            albedo = rasterize_board_albedo(self)
+            albedo = rasterize_face_albedo(
+                self.extent_mm[0], self.extent_mm[1], self.markers,
+                self.reference_dots, self.dot_radius_mm, self.texture_ppm,
+            )
             self._faces = [
                 SceneFace(
                     origin=np.zeros(3),
@@ -268,9 +271,6 @@ class PrismTarget:
         origin = self.apothem_mm * normal
         return origin, eu, ev, normal
 
-    def marker_ids_list(self) -> list[int]:
-        return list(self.marker_ids)
-
     def face_of_marker(self, marker_id: int) -> int:
         try:
             return self.marker_ids.index(marker_id)
@@ -343,14 +343,6 @@ def rasterize_face_albedo(
 
         out[y0:y1] = canvas.reshape(y1 - y0, ss, w_px, ss).mean(axis=(1, 3))
     return Image.from_array(out)
-
-
-def rasterize_board_albedo(board: FiducialBoard) -> Image:
-    return rasterize_face_albedo(
-        board.extent_mm[0], board.extent_mm[1],
-        board.markers, board.reference_dots,
-        board.dot_radius_mm, board.texture_ppm,
-    )
 
 
 def marker_corners_3d(target, marker_id: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from procamsim import calibration, imaging, vision
 from procamsim.calibration import (
     CalibView,
     IntrinsicProfile,
@@ -229,6 +230,53 @@ def test_sweep_single_station_rejected(calib_board, etl, base_intr):
                         detector="oracle", seed=1)
 
 
+class _TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
+def test_sweep_passes_foreign_errors_through_unchanged(monkeypatch, calib_board, etl,
+                                                       base_intr):
+    err = _TwoArgError(7, "solver crashed")
+
+    def fail(views):
+        raise err
+
+    monkeypatch.setattr(calibration, "calibrate", fail)
+    with pytest.raises(_TwoArgError) as info:
+        sweep_calibrate(calib_board, etl, base_intr, DEVICE_WH, [70.0, 150.0],
+                        detector="oracle", seed=1)
+    assert info.value is err
+
+
+class _StopSweep(Exception):
+    pass
+
+
+def test_sweep_image_detector_looks_up_capture_and_detector_at_call_time(
+    monkeypatch, calib_board, etl, base_intr
+):
+    # perfbench clocks calibration views by replacing imaging.render_capture
+    # and vision.detect_markers; the sweep must look both up when it calls them.
+    calls = {"render_capture": 0, "detect_markers": 0}
+    render = imaging.render_capture
+
+    def counted_render(*args, **kwargs):
+        calls["render_capture"] += 1
+        return render(*args, **kwargs)
+
+    def stop_at_detect(capture):
+        calls["detect_markers"] += 1
+        raise _StopSweep
+
+    monkeypatch.setattr(imaging, "render_capture", counted_render)
+    monkeypatch.setattr(vision, "detect_markers", stop_at_detect)
+    with pytest.raises(_StopSweep):
+        sweep_calibrate(calib_board, etl, base_intr, DEVICE_WH, [70.0, 150.0],
+                        detector="image", seed=1)
+    assert calls == {"render_capture": 1, "detect_markers": 1}
+
+
 def test_interpolate_at_node_and_midpoint(clean_profile):
     entry = clean_profile.entries[3]
     intr, clamped = interpolate(clean_profile, entry.power_d)
@@ -266,6 +314,18 @@ def test_profile_round_trip(clean_profile, tmp_path):
         assert a.current_ma == b.current_ma
         assert a.rms_px == b.rms_px
         assert a.intrinsics == b.intrinsics
+
+
+def test_profile_load_accepts_legacy_created_stamp(clean_profile, tmp_path):
+    import json
+
+    path = tmp_path / "profile.json"
+    save_profile(clean_profile, path)
+    doc = json.loads(path.read_text())
+    assert "created" not in doc
+    doc["created"] = "2024-01-01T00:00:00+00:00"
+    path.write_text(json.dumps(doc))
+    assert load_profile(path).entries == clean_profile.entries
 
 
 def test_profile_load_rejects_unsorted(tmp_path, clean_profile):

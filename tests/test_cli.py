@@ -71,6 +71,14 @@ def test_cmd_calibrate_writes_profile(workspace, capsys):
     assert "power_d" in capsys.readouterr().out
 
 
+def test_cmd_calibrate_is_reproducible(workspace):
+    tmp_path, config, _ = workspace
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["calibrate", "--config", str(config), "--out", str(first)]) == 0
+    assert main(["calibrate", "--config", str(config), "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_cmd_calibrate_single_station_exits_3(workspace, capsys):
     tmp_path, config, _ = workspace
     doc = json.loads(config.read_text())
@@ -136,6 +144,29 @@ def test_cmd_dpm_empty_trajectory_exits_2(workspace):
     code = main(["dpm", "--config", str(config), "--profile", str(profile),
                  "--trajectory", str(bad), "--out-dir", str(tmp_path / "run2")])
     assert code == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dpm_frames", 0),
+    ("wiener_nsr", 0.0),
+    ("ema_alpha", 0.0),
+    ("ema_alpha", 1.5),
+])
+def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, value):
+    tmp_path, config, traj = workspace
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
+    doc = json.loads(config.read_text())
+    doc[key] = value
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out_dir = tmp_path / "run"
+    code = main(["dpm", "--config", str(config), "--profile", str(profile),
+                 "--trajectory", str(traj), "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert not out_dir.exists()
 
 
 def test_cmd_render_and_psf(workspace, capsys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from procamsim import pipeline
 from procamsim.errors import TargetLost
 from procamsim.geometry import Pose, project
 from procamsim.image import Image
-from procamsim.imaging import centroid
+from procamsim.imaging import centroid, render_device_image
 from procamsim.optics import (
     blur_radius,
     focus_distance,
@@ -20,7 +21,6 @@ from procamsim.pipeline import (
     FrameRecord,
     autofocus_step,
     dot_projection_texture,
-    generate_projection,
     projection_textures,
     read_metrics,
     recovery_state,
@@ -99,12 +99,12 @@ def test_recovery_state_cycles_profile_stations(etl, clean_profile):
     assert len(set(powers)) == n
 
 
-def test_generate_projection_places_dots(eval_board, etl, base_intr):
+def test_render_device_image_places_dots(eval_board, etl, base_intr):
     power, _ = power_for_focus(etl, 170.0)
     pose = frontal_pose(170.0)
     intr = intrinsics_at_power(etl, base_intr, power)
     textures = projection_textures(eval_board, (1.0, 1.0, 1.0))
-    device = generate_projection(pose, intr, eval_board, textures, (512, 512))
+    device = render_device_image(eval_board, pose, intr, textures, (512, 512))
     for dot in eval_board.reference_dots:
         expected = project(intr, pose, np.array([dot[0], dot[1], 0.0]))
         x0, y0 = int(expected[0]) - 12, int(expected[1]) - 12
@@ -113,14 +113,14 @@ def test_generate_projection_places_dots(eval_board, etl, base_intr):
         assert np.linalg.norm(c - expected) * mm_per_px < 0.2
 
 
-def test_generate_projection_differential_shift(eval_board, etl, base_intr):
+def test_render_device_image_differential_shift(eval_board, etl, base_intr):
     power, _ = power_for_focus(etl, 170.0)
     intr = intrinsics_at_power(etl, base_intr, power)
     pose_a = frontal_pose(170.0)
     pose_b = Pose(pose_a.rotation, pose_a.translation + np.array([5.0, 0.0, 0.0]))
     textures = projection_textures(eval_board, (1.0, 1.0, 1.0))
-    dev_a = generate_projection(pose_a, intr, eval_board, textures, (512, 512))
-    dev_b = generate_projection(pose_b, intr, eval_board, textures, (512, 512))
+    dev_a = render_device_image(eval_board, pose_a, intr, textures, (512, 512))
+    dev_b = render_device_image(eval_board, pose_b, intr, textures, (512, 512))
     dot = eval_board.reference_dots[0]
     pa = project(intr, pose_a, np.array([dot[0], dot[1], 0.0]))
     pb = project(intr, pose_b, np.array([dot[0], dot[1], 0.0]))
@@ -129,11 +129,11 @@ def test_generate_projection_differential_shift(eval_board, etl, base_intr):
     assert np.linalg.norm((cb - ca) - (pb - pa)) < 0.2
 
 
-def test_generate_projection_black_texture(eval_board, etl, base_intr):
+def test_render_device_image_black_texture(eval_board, etl, base_intr):
     intr = intrinsics_at_power(etl, base_intr, 0.0)
     face = eval_board.faces()[0]
     black = {0: Image.full(face.albedo.width, face.albedo.height, 0.0, 3)}
-    device = generate_projection(frontal_pose(170.0), intr, eval_board, black, (256, 256))
+    device = render_device_image(eval_board, frontal_pose(170.0), intr, black, (256, 256))
     assert device.data.max() == 0.0
 
 
@@ -186,6 +186,33 @@ def test_dpm_static_run_all_green(prism, etl, base_intr, clean_profile):
         assert r.misalignment_mm < 0.5
 
 
+def _counting(calls, name, original):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("detector, expected", [
+    ("image", {"render_capture": 2, "detect_markers": 2, "oracle_detect": 0,
+               "autofocus_step": 2}),
+    ("oracle", {"render_capture": 0, "detect_markers": 0, "oracle_detect": 2,
+                "autofocus_step": 2}),
+])
+def test_run_dpm_calls_wrappable_module_names(monkeypatch, prism, etl, base_intr,
+                                              clean_profile, detector, expected):
+    # perfbench times the layers by replacing these pipeline attributes; each
+    # frame has to reach them through the module, not a bound reference.
+    calls = dict.fromkeys(expected, 0)
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, _counting(calls, name, getattr(pipeline, name)))
+    setup = DpmSetup(prism=prism, etl=etl, base_intrinsics=base_intr,
+                     profile=clean_profile, device_wh=(512, 512),
+                     detector=detector, seed=1, frames=2)
+    run_dpm(setup, _linear_trajectory(150.0, 160.0))
+    assert calls == expected
+
+
 def test_coaxial_zero_drift_across_distances(eval_board, base_intr):
     # With the true pose, the true intrinsics, and no chromatic offset, the
     # shared image plane leaves no calibration term to drift: projected dots
@@ -200,7 +227,7 @@ def test_coaxial_zero_drift_across_distances(eval_board, base_intr):
         pose = frontal_pose(z)
         intr = intrinsics_at_power(etl, base_intr, power)
         textures = projection_textures(eval_board, (1.0, 1.0, 1.0))
-        device = generate_projection(pose, intr, eval_board, textures, (512, 512))
+        device = render_device_image(eval_board, pose, intr, textures, (512, 512))
         irr = render_projection_on_surface(device, eval_board, pose, etl, base_intr, power)
         plane = irr[0].gray()
         for dot in eval_board.reference_dots:
