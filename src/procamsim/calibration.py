@@ -47,8 +47,6 @@ class CalibView:
 
     object_points: np.ndarray
     image_points: np.ndarray
-    homography: Homography | None = None
-    pose: Pose | None = None
 
     def __post_init__(self):
         self.object_points = np.asarray(self.object_points, dtype=float).reshape(-1, 2)
@@ -202,20 +200,10 @@ def calibrate(views: list[CalibView]) -> tuple[Intrinsics, float]:
     """Full pipeline: per-view homography, closed form, extrinsics, refinement."""
     if len(views) < MIN_VIEWS:
         raise InsufficientViews(f"need at least {MIN_VIEWS} views")
-    homographies = []
-    for view in views:
-        h = homography_dlt(view.object_points, view.image_points)
-        view.homography = h
-        homographies.append(h)
+    homographies = [homography_dlt(v.object_points, v.image_points) for v in views]
     init = zhang_closed_form(homographies)
-    poses = []
-    for view in views:
-        pose = extrinsics_from_homography(init, view.homography)
-        view.pose = pose
-        poses.append(pose)
-    intr, refined_poses, rms = refine_lm(views, init, poses)
-    for view, pose in zip(views, refined_poses):
-        view.pose = pose
+    poses = [extrinsics_from_homography(init, h) for h in homographies]
+    intr, _, rms = refine_lm(views, init, poses)
     return intr, rms
 
 

@@ -66,13 +66,16 @@ def cmd_eval(cfg: RunConfig, profile_path: str, mode: str, fixed_at: float | Non
              out_csv: str) -> int:
     if mode == "fixed" and fixed_at is None:
         raise ConfigError("--mode fixed requires --fixed-at")
+    if fixed_at is not None and not fixed_at > 0.0:
+        raise ConfigError(f"--fixed-at must be a positive distance, got {fixed_at}")
     board = _require_target(cfg, "evaluation_board")
     profile = load_profile(profile_path)
     setup = EvalSetup.from_config(
         cfg, profile, board=board, stations=cfg.stations,
         tilt_deg=cfg.eval_tilt_deg, settle_steps=cfg.settle_steps,
     )
-    rows = run_alignment_eval(setup, mode, fixed_at_mm=fixed_at or 150.0)
+    pinned = {"fixed_at_mm": fixed_at} if mode == "fixed" else {}
+    rows = run_alignment_eval(setup, mode, **pinned)
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write("distance_mm,mean_mm,std_mm,blur_ir_px,blur_vis_px\n")
         for r in rows:
@@ -90,12 +93,12 @@ def cmd_dpm(cfg: RunConfig, profile_path: str, trajectory_path: str, out_dir: st
     prism = _require_target(cfg, "prism")
     profile = load_profile(profile_path)
     trajectory = load_trajectory(trajectory_path)
-    os.makedirs(out_dir, exist_ok=True)
     setup = DpmSetup.from_config(
         cfg, profile, prism=prism, frames=cfg.dpm_frames,
         wiener_nsr=cfg.wiener_nsr, ambient=cfg.ambient,
         external_camera=cfg.external_camera,
     )
+    os.makedirs(out_dir, exist_ok=True)
     records, _ = run_dpm(setup, trajectory, out_dir=out_dir)
     write_metrics(records, os.path.join(out_dir, "metrics.csv"))
     write_timings(records, os.path.join(out_dir, "timings.csv"))

@@ -5,18 +5,37 @@ the config seed, so identical configs give identical outputs.
 """
 from __future__ import annotations
 
-import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .geometry import Intrinsics
-from .imaging import ExternalCamera, default_external_camera
+from .imaging import DEFAULT_SENSOR_SIGMA, ExternalCamera, default_external_camera
 from .optics import EtlModel
-from .vision import NoiseModel
+from .pipeline import EMA_ALPHA, SETTLE_STEPS, DpmSetup, EvalSetup, Rig
+from .scene import _read_object
+from .vision import _MIN_IMAGE_PX, NoiseModel
 
 DETECTOR_MODES = ("image", "oracle")
 DEFAULT_STATIONS = [70.0, 90.0, 110.0, 130.0, 150.0, 170.0, 190.0, 210.0, 230.0, 250.0]
+
+# The default device; its principal point is derived (see _device).
+_DEVICE = {"width": 512, "height": 512, "fx": 600.0, "fy": 600.0, "k1": -0.05, "k2": 0.01}
+# JSON key -> EtlModel / NoiseModel field.
+_ETL_KEYS = {
+    "z0_mm": "z0", "current_gain_d_per_ma": "current_gain",
+    "power_min_d": "power_min", "power_max_d": "power_max",
+    "blur_gain_px_mm": "blur_gain", "chroma_offset_d": "chroma_offset",
+    "breathing_beta": "breathing_beta", "breathing_gamma": "breathing_gamma",
+}
+_NOISE_KEYS = {"corner_sigma0": "sigma0", "corner_eta": "eta"}
+# Top-level keys, each named after the RunConfig field it sets, with the
+# owner's default; a value is read as the type of its default.
+_RUN = {"detector": Rig.detector, "eval_tilt_deg": EvalSetup.tilt_deg,
+        "settle_steps": SETTLE_STEPS, "ema_alpha": EMA_ALPHA,
+        "wiener_nsr": DpmSetup.wiener_nsr, "ambient": DpmSetup.ambient,
+        "dpm_frames": DpmSetup.frames}
 
 
 @dataclass
@@ -27,18 +46,23 @@ class RunConfig:
     etl: EtlModel
     scene_path: str
     stations: list[float]
-    detector: str = "image"
-    eval_tilt_deg: float = 28.0
-    settle_steps: int = 10
-    ema_alpha: float = 0.5
-    sensor_sigma: float = 0.003
-    corner_noise: NoiseModel = field(default_factory=NoiseModel)
-    wiener_nsr: float = 0.01
-    ambient: float = 0.15
-    dpm_frames: int = 60
+    detector: str
+    eval_tilt_deg: float
+    settle_steps: int
+    ema_alpha: float
+    sensor_sigma: float
+    corner_noise: NoiseModel
+    wiener_nsr: float
+    ambient: float
+    dpm_frames: int
     external_camera: ExternalCamera = field(default_factory=default_external_camera)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if min(self.device_wh) < _MIN_IMAGE_PX:
+            raise ConfigError(f"device width and height must be at least {_MIN_IMAGE_PX} px, "
+                              f"got {self.device_wh[0]}x{self.device_wh[1]}")
         if self.detector not in DETECTOR_MODES:
             raise ConfigError(f"detector must be one of {DETECTOR_MODES}")
         if not self.stations:
@@ -46,123 +70,93 @@ class RunConfig:
         for z in self.stations:
             if not (70.0 <= z <= 250.0):
                 raise ConfigError(f"station {z} mm outside the 70..250 mm working range")
+        if self.settle_steps < 1:
+            raise ConfigError(f"settle_steps must be at least 1, got {self.settle_steps}")
         if self.dpm_frames < 1:
             raise ConfigError(f"dpm_frames must be at least 1, got {self.dpm_frames}")
         if not self.wiener_nsr > 0.0:
             raise ConfigError(f"wiener_nsr must be positive, got {self.wiener_nsr}")
         if not 0.0 < self.ema_alpha <= 1.0:
             raise ConfigError(f"ema_alpha must lie in (0, 1], got {self.ema_alpha}")
+        if not self.sensor_sigma >= 0.0:
+            raise ConfigError(f"sensor_sigma must be non-negative, got {self.sensor_sigma}")
+        if not 0.0 <= self.ambient <= 1.0:
+            raise ConfigError(f"ambient must lie in [0, 1], got {self.ambient}")
 
 
-def _get(doc: dict, key: str, kind, default=None, required: bool = False):
+def _get(doc: dict, key: str, kind):
     if key not in doc:
-        if required:
-            raise ConfigError(f"config is missing required key {key!r}")
-        return default
+        raise ConfigError(f"config is missing required key {key!r}")
     try:
         return kind(doc[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+@contextmanager
+def _naming(what: str):
+    """Report a malformed value inside the block as a ConfigError naming ``what``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _device(dev: dict) -> dict:
+    """Typed device block; a principal point it does not name sits at the raster centre."""
+    w, h = int(dev["width"]), int(dev["height"])
+    return {"width": w, "height": h, **{k: float(dev[k]) for k in ("fx", "fy", "k1", "k2")},
+            "cx": float(dev.get("cx", w / 2.0)), "cy": float(dev.get("cy", h / 2.0))}
+
+
 def load_config(path) -> RunConfig:
-    """Load and validate a run configuration document."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    """Load and validate a run configuration document.
 
-    seed = _get(doc, "seed", int, required=True)
-
-    dev = doc.get("device", {})
-    try:
-        device_wh = (int(dev.get("width", 512)), int(dev.get("height", 512)))
-        base = Intrinsics(
-            fx=float(dev.get("fx", 600.0)),
-            fy=float(dev.get("fy", 600.0)),
-            cx=float(dev.get("cx", device_wh[0] / 2.0)),
-            cy=float(dev.get("cy", device_wh[1] / 2.0)),
-            k1=float(dev.get("k1", -0.05)),
-            k2=float(dev.get("k2", 0.01)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad device block: {exc}") from exc
-
-    etl_doc = doc.get("etl", {})
-    try:
-        etl = EtlModel(
-            z0=float(etl_doc.get("z0_mm", 170.0)),
-            current_gain=float(etl_doc.get("current_gain_d_per_ma", 0.04)),
-            power_min=float(etl_doc.get("power_min_d", -10.0)),
-            power_max=float(etl_doc.get("power_max_d", 10.0)),
-            blur_gain=float(etl_doc.get("blur_gain_px_mm", 2000.0)),
-            chroma_offset=float(etl_doc.get("chroma_offset_d", 0.5)),
-            breathing_beta=float(etl_doc.get("breathing_beta", -0.05)),
-            breathing_gamma=float(etl_doc.get("breathing_gamma", 0.5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad etl block: {exc}") from exc
-
-    scene_path = _get(doc, "scene", str, required=True)
+    Keys the document omits take the values ``default_config_document``
+    spells out; keys it does not know are ignored.
+    """
+    doc = _read_object(path, "config", ConfigError)
+    seed = _get(doc, "seed", int)
+    defaults = default_config_document()
+    with _naming("device block"):
+        device = _device({**_DEVICE, **doc.get("device", {})})
+    with _naming("etl block"):
+        etl_doc = {**defaults["etl"], **doc.get("etl", {})}
+        etl = EtlModel(**{name: float(etl_doc[key]) for key, name in _ETL_KEYS.items()})
+    scene_path = _get(doc, "scene", str)
     if not os.path.isfile(scene_path):
         raise ConfigError(f"scene file {scene_path!r} does not exist")
-
-    stations = doc.get("stations_mm", list(DEFAULT_STATIONS))
-    try:
-        stations = [float(z) for z in stations]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad stations_mm: {exc}") from exc
-
-    noise_doc = doc.get("noise", {})
-    try:
-        sensor_sigma = float(noise_doc.get("sensor_sigma", 0.003))
-        corner_noise = NoiseModel(
-            sigma0=float(noise_doc.get("corner_sigma0", 0.05)),
-            eta=float(noise_doc.get("corner_eta", 0.1)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise block: {exc}") from exc
+    doc = {**defaults, **doc}
+    with _naming("stations_mm"):
+        stations = [float(z) for z in doc["stations_mm"]]
+    with _naming("noise block"):
+        noise = {**defaults["noise"], **doc["noise"]}
+        sensor_sigma = float(noise["sensor_sigma"])
+        corner_noise = NoiseModel(**{name: float(noise[key]) for key, name in _NOISE_KEYS.items()})
 
     return RunConfig(
         seed=seed,
-        device_wh=device_wh,
-        base_intrinsics=base,
+        device_wh=(device.pop("width"), device.pop("height")),
+        base_intrinsics=Intrinsics(**device),
         etl=etl,
         scene_path=scene_path,
         stations=stations,
-        detector=_get(doc, "detector", str, default="image"),
-        eval_tilt_deg=_get(doc, "eval_tilt_deg", float, default=28.0),
-        settle_steps=_get(doc, "settle_steps", int, default=10),
-        ema_alpha=_get(doc, "ema_alpha", float, default=0.5),
         sensor_sigma=sensor_sigma,
         corner_noise=corner_noise,
-        wiener_nsr=_get(doc, "wiener_nsr", float, default=0.01),
-        ambient=_get(doc, "ambient", float, default=0.15),
-        dpm_frames=_get(doc, "dpm_frames", int, default=60),
+        **{key: _get(doc, key, type(default)) for key, default in _RUN.items()},
     )
 
 
 def default_config_document(scene_path: str = "scene.json") -> dict:
-    """Template config document with every default spelled out."""
+    """Template config document with every default spelled out, each read from its owner."""
+    etl, noise = EtlModel(), NoiseModel()
     return {
         "seed": 1234,
-        "device": {"width": 512, "height": 512, "fx": 600.0, "fy": 600.0,
-                   "cx": 256.0, "cy": 256.0, "k1": -0.05, "k2": 0.01},
-        "etl": {"z0_mm": 170.0, "current_gain_d_per_ma": 0.04,
-                "power_min_d": -10.0, "power_max_d": 10.0,
-                "blur_gain_px_mm": 2000.0, "chroma_offset_d": 0.5,
-                "breathing_beta": -0.05, "breathing_gamma": 0.5},
+        "device": _device(_DEVICE),
+        "etl": {key: getattr(etl, name) for key, name in _ETL_KEYS.items()},
         "scene": scene_path,
         "stations_mm": list(DEFAULT_STATIONS),
-        "detector": "image",
-        "eval_tilt_deg": 28.0,
-        "settle_steps": 10,
-        "ema_alpha": 0.5,
-        "noise": {"sensor_sigma": 0.003, "corner_sigma0": 0.05, "corner_eta": 0.1},
-        "wiener_nsr": 0.01,
-        "ambient": 0.15,
-        "dpm_frames": 60,
+        **_RUN,
+        "noise": {"sensor_sigma": DEFAULT_SENSOR_SIGMA,
+                  **{key: getattr(noise, name) for key, name in _NOISE_KEYS.items()}},
     }

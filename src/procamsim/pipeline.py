@@ -17,11 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import optics
-from .calibration import IntrinsicProfile, interpolate
-from .errors import IoError, NoKnownMarkers, PointBehindCamera, TargetLost
+from .calibration import IntrinsicProfile, _etl_hash, interpolate
+from .errors import ConfigError, IoError, NoKnownMarkers, PointBehindCamera, TargetLost
 from .geometry import Intrinsics, Pose, project, undistort
 from .image import Image
 from .imaging import (
+    DEFAULT_SENSOR_SIGMA,
     face_ray_homography,
     render_capture,
     render_device_image,
@@ -63,7 +64,6 @@ class ControllerState:
     drive_current: float
     active_intrinsics: Intrinsics
     filtered_distance: float | None
-    last_pose: Pose | None
     frame_index: int
     power_clamped: bool = False
 
@@ -73,7 +73,7 @@ class ControllerState:
         # intrinsics for the power that current actually commands.
         power = power_for_current(etl, 0.0)
         intr, _ = interpolate(profile, power)
-        return ControllerState(0.0, intr, None, None, 0)
+        return ControllerState(0.0, intr, None, 0)
 
 
 def autofocus_step(
@@ -114,7 +114,6 @@ def autofocus_step(
         drive_current=current,
         active_intrinsics=new_intr,
         filtered_distance=filtered,
-        last_pose=pose,
         frame_index=state.frame_index + 1,
         power_clamped=clamped,
     )
@@ -152,13 +151,24 @@ class Rig:
     device_wh: tuple[int, int]
     detector: str = "image"
     noise: NoiseModel = field(default_factory=NoiseModel)
-    sensor_sigma: float = 0.003
+    sensor_sigma: float = DEFAULT_SENSOR_SIGMA
     seed: int = 0
     ema_alpha: float = EMA_ALPHA
 
     @classmethod
     def from_config(cls, cfg, profile: IntrinsicProfile, **fields):
-        """The rig a run config describes; ``fields`` are the subclass's own."""
+        """The rig a run config describes; ``fields`` are the subclass's own.
+
+        A profile calibrated for another raster or lens is a ConfigError; an
+        empty ``etl_hash`` marks a profile older than that fingerprint and
+        skips the lens check.
+        """
+        if profile.device_wh != cfg.device_wh:
+            raise ConfigError(f"profile was calibrated for a {profile.device_wh} raster, "
+                              f"the config's device is {cfg.device_wh}")
+        if profile.etl_hash and profile.etl_hash != _etl_hash(cfg.etl):
+            raise ConfigError(f"profile etl_hash {profile.etl_hash} does not match "
+                              "the config's etl block")
         return cls(
             etl=cfg.etl, base_intrinsics=cfg.base_intrinsics, profile=profile,
             device_wh=cfg.device_wh, detector=cfg.detector, noise=cfg.corner_noise,

@@ -247,7 +247,7 @@ class PrismTarget:
     face_width_mm: float = 20.0
     height_mm: float = 20.0
     marker_ids: tuple[int, ...] = (10, 11, 12, 13, 14, 15)
-    marker_side_mm: float = 13.0
+    marker_side_mm: float = FiducialMarker.side_mm
     texture_ppm: float = DEFAULT_TEXTURE_PPM
     _faces: list | None = field(default=None, repr=False, compare=False)
 
@@ -430,27 +430,12 @@ def sample_trajectory(traj: Trajectory, t: float) -> Pose:
 
 def evaluation_board() -> FiducialBoard:
     """One centered 13 mm marker with four reference dots at (+-15, +-15) mm."""
-    return FiducialBoard(
-        markers=[MarkerPlacement(FiducialMarker(0), (0.0, 0.0))],
-        reference_dots=[(-15.0, -15.0), (15.0, -15.0), (15.0, 15.0), (-15.0, 15.0)],
-        extent_mm=(50.0, 50.0),
-    )
+    return load_target(default_scene_document()["targets"]["evaluation_board"])
 
 
 def calibration_board() -> FiducialBoard:
     """3x3 grid of 13 mm markers at an 18 mm pitch: 36 corners per view."""
-    placements = []
-    marker_id = 1
-    for row in range(3):
-        for col in range(3):
-            placements.append(
-                MarkerPlacement(
-                    FiducialMarker(marker_id),
-                    (18.0 * (col - 1), 18.0 * (row - 1)),
-                )
-            )
-            marker_id += 1
-    return FiducialBoard(markers=placements, reference_dots=[], extent_mm=(60.0, 60.0))
+    return load_target(default_scene_document()["targets"]["calibration_board"])
 
 
 def hex_prism() -> PrismTarget:
@@ -459,42 +444,57 @@ def hex_prism() -> PrismTarget:
 
 # --- JSON loading ------------------------------------------------------------
 
+def _read_object(path, what: str, error=SceneFormatError) -> dict:
+    """The JSON object in file ``path``; any other content raises ``error`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return doc
+
+
+def _given(doc: dict, **kinds) -> dict:
+    """The keys ``doc`` holds among ``kinds``, converted; the rest keep their defaults."""
+    return {key: kind(doc[key]) for key, kind in kinds.items() if key in doc}
+
+
 def _board_from_dict(doc: dict) -> FiducialBoard:
     try:
         markers = [
             MarkerPlacement(
-                FiducialMarker(int(m["id"]), float(m.get("side_mm", 13.0))),
+                FiducialMarker(int(m["id"]), **_given(m, side_mm=float)),
                 (float(m["center_mm"][0]), float(m["center_mm"][1])),
-                float(m.get("angle_rad", 0.0)),
+                **_given(m, angle_rad=float),
             )
             for m in doc["markers"]
         ]
-        dots = [(float(d[0]), float(d[1])) for d in doc.get("reference_dots", [])]
-        extent = (float(doc["extent_mm"][0]), float(doc["extent_mm"][1]))
-    except (KeyError, TypeError, IndexError) as exc:
+        return FiducialBoard(
+            markers=markers,
+            reference_dots=[(float(d[0]), float(d[1])) for d in doc.get("reference_dots", [])],
+            extent_mm=(float(doc["extent_mm"][0]), float(doc["extent_mm"][1])),
+            **_given(doc, dot_radius_mm=float),
+        )
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SceneFormatError(f"bad board document: {exc}") from exc
-    return FiducialBoard(
-        markers=markers,
-        reference_dots=dots,
-        extent_mm=extent,
-        dot_radius_mm=float(doc.get("dot_radius_mm", 2.0)),
-    )
 
 
 def _prism_from_dict(doc: dict) -> PrismTarget:
     try:
-        return PrismTarget(
-            face_width_mm=float(doc.get("face_width_mm", 20.0)),
-            height_mm=float(doc.get("height_mm", 20.0)),
-            marker_ids=tuple(int(i) for i in doc.get("marker_ids", (10, 11, 12, 13, 14, 15))),
-            marker_side_mm=float(doc.get("marker_side_mm", 13.0)),
-        )
+        return PrismTarget(**_given(
+            doc, face_width_mm=float, height_mm=float,
+            marker_ids=lambda ids: tuple(int(i) for i in ids), marker_side_mm=float,
+        ))
     except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"bad prism document: {exc}") from exc
 
 
 def load_target(doc: dict):
-    kind = doc.get("type")
+    kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "board":
         return _board_from_dict(doc)
     if kind == "prism":
@@ -507,20 +507,14 @@ def load_scene(path) -> dict:
 
     Schema: {"targets": {name: {"type": "board"|"prism", ...}, ...}}
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SceneFormatError(f"cannot read scene file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"scene file {path} is not valid JSON: {exc}") from exc
+    doc = _read_object(path, "scene file")
     if "targets" not in doc or not isinstance(doc["targets"], dict):
         raise SceneFormatError("scene document must contain a 'targets' object")
     return {name: load_target(sub) for name, sub in doc["targets"].items()}
 
 
 def default_scene_document() -> dict:
-    """Document equivalent of the built-in targets, for writing example files."""
+    """The built-in targets as a scene document, the one definition of the boards."""
     return {
         "targets": {
             "calibration_board": {
@@ -538,20 +532,14 @@ def default_scene_document() -> dict:
                 "markers": [{"id": 0, "center_mm": [0.0, 0.0]}],
                 "reference_dots": [[-15.0, -15.0], [15.0, -15.0], [15.0, 15.0], [-15.0, 15.0]],
             },
-            "prism": {"type": "prism", "face_width_mm": 20.0, "height_mm": 20.0},
+            "prism": {"type": "prism"},
         }
     }
 
 
 def load_trajectory(path) -> Trajectory:
     """Load {"keyframes": [{"t": s, "translation": [mm x3], "axis_angle": [rad x3]}]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SceneFormatError(f"cannot read trajectory file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"trajectory file {path} is not valid JSON: {exc}") from exc
+    doc = _read_object(path, "trajectory file")
     try:
         frames = tuple(
             (

@@ -45,6 +45,7 @@ DP_EPSILON_FRAC = 0.03
 MIN_QUAD_AREA = 25.0
 DECODE_MARGIN = 0.15
 MIN_COMPONENT_PX = 25
+_MIN_IMAGE_PX = 64
 EDGE_SAMPLES_PER_SIDE = 10
 EDGE_PROFILE_HALF_PX = 3.0
 EDGE_PROFILE_STEP = 0.25
@@ -289,8 +290,8 @@ def detect_markers(img: Image) -> list[Detection]:
     """
     plane = img.gray()
     h, w = plane.shape
-    if h < 64 or w < 64:
-        raise ValueError("detector expects images of at least 64x64 px")
+    if h < _MIN_IMAGE_PX or w < _MIN_IMAGE_PX:
+        raise ValueError(f"detector expects images of at least {_MIN_IMAGE_PX}x{_MIN_IMAGE_PX} px")
     dark = plane < (_local_mean(plane, THRESHOLD_BLOCK) - THRESHOLD_OFFSET)
     labels, count = ndimage.label(dark, structure=np.ones((3, 3), dtype=int))
     detections = []

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +8,10 @@ from procamsim.calibration import load_profile
 from procamsim.cli import main
 from procamsim.config import default_config_document, load_config
 from procamsim.errors import ConfigError
+from procamsim.optics import EtlModel
+from procamsim.pipeline import DpmSetup, EvalSetup, Rig
 from procamsim.scene import default_scene_document
+from procamsim.vision import NoiseModel
 
 
 @pytest.fixture()
@@ -60,6 +65,52 @@ def test_load_config_rejects_out_of_range_station(tmp_path):
         load_config(path)
 
 
+def _comparable(cfg):
+    """RunConfig fields as a dict, without the scene path and the external camera
+    (whose pose holds arrays)."""
+    fields = dataclasses.asdict(cfg)
+    del fields["scene_path"], fields["external_camera"]
+    return fields
+
+
+def test_omitted_config_keys_take_the_owners_defaults(tmp_path, monkeypatch):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(default_scene_document()))
+    minimal, full = tmp_path / "minimal.json", tmp_path / "full.json"
+    minimal.write_text(json.dumps({"seed": 1234, "scene": str(scene)}))
+    full.write_text(json.dumps(default_config_document(str(scene))))
+    cfg = load_config(minimal)
+    assert _comparable(cfg) == _comparable(load_config(full))
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])  # its scene path is repo-relative
+    assert _comparable(cfg) == _comparable(load_config("configs/default.json"))
+
+    defaults = {f.name: f.default for cls in (Rig, EvalSetup, DpmSetup)
+                for f in dataclasses.fields(cls)}
+    assert cfg.etl == EtlModel()
+    assert cfg.corner_noise == NoiseModel()
+    assert cfg.sensor_sigma == defaults["sensor_sigma"]
+    assert cfg.ema_alpha == defaults["ema_alpha"]
+    assert cfg.detector == defaults["detector"]
+    assert cfg.eval_tilt_deg == defaults["tilt_deg"]
+    assert cfg.settle_steps == defaults["settle_steps"]
+    assert cfg.dpm_frames == defaults["frames"]
+    assert cfg.wiener_nsr == defaults["wiener_nsr"]
+    assert cfg.ambient == defaults["ambient"]
+
+
+def test_device_width_without_cx_centres_the_principal_point(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(default_scene_document()))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "scene": str(scene),
+                                "device": {"width": 256, "height": 200, "cy": 90.0},
+                                "interpolation": "linear", "output_dir": "ignored"}))
+    cfg = load_config(path)
+    assert cfg.device_wh == (256, 200)
+    assert (cfg.base_intrinsics.cx, cfg.base_intrinsics.cy) == (128.0, 90.0)
+    assert cfg.base_intrinsics.fx == default_config_document()["device"]["fx"]
+
+
 def test_cmd_calibrate_writes_profile(workspace, capsys):
     tmp_path, config, _ = workspace
     out = tmp_path / "profile.json"
@@ -102,6 +153,46 @@ def test_cmd_eval_requires_fixed_at(workspace, capsys):
     code = main(["eval", "--config", str(config), "--profile", str(out),
                  "--mode", "fixed", "--out", str(tmp_path / "eval.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("fixed_at", ["0", "-5"])
+def test_cmd_eval_rejects_non_positive_fixed_at(workspace, capsys, fixed_at):
+    tmp_path, config, _ = workspace
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
+    capsys.readouterr()
+    out_csv = tmp_path / "eval.csv"
+    code = main(["eval", "--config", str(config), "--profile", str(profile),
+                 "--mode", "fixed", "--fixed-at", fixed_at, "--out", str(out_csv)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--fixed-at" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dpm"])
+@pytest.mark.parametrize("block, change", [
+    pytest.param("device", {"width": 256, "height": 256, "cx": 128.0, "cy": 128.0}, id="raster"),
+    pytest.param("etl", {"blur_gain_px_mm": 1500.0}, id="lens"),
+])
+def test_cmd_rejects_profile_from_another_device(workspace, capsys, command, block, change):
+    tmp_path, config, traj = workspace
+    doc = json.loads(config.read_text())
+    doc[block].update(change)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", str(other), "--out", str(profile)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    outputs = {"eval": ["--mode", "adaptive", "--out", str(out)],
+               "dpm": ["--trajectory", str(traj), "--out-dir", str(out)]}
+    code = main([command, "--config", str(config), "--profile", str(profile),
+                 *outputs[command]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "profile" in err
+    assert not out.exists()
 
 
 def test_cmd_eval_adaptive_rows(workspace):
@@ -151,13 +242,25 @@ def test_cmd_dpm_empty_trajectory_exits_2(workspace):
     ("wiener_nsr", 0.0),
     ("ema_alpha", 0.0),
     ("ema_alpha", 1.5),
+    ("seed", -5),
+    ("device.width", 32),
+    ("device.height", 0),
+    ("settle_steps", 0),
+    ("noise.sensor_sigma", -0.01),
+    ("ambient", -0.1),
+    ("ambient", 1.5),
 ])
 def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, value):
+    """``key`` may name a field inside a block, as ``block.field``."""
     tmp_path, config, traj = workspace
     profile = tmp_path / "profile.json"
     assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
     doc = json.loads(config.read_text())
-    doc[key] = value
+    *blocks, key = key.split(".")
+    node = doc
+    for block in blocks:
+        node = node[block]
+    node[key] = value
     config.write_text(json.dumps(doc))
     capsys.readouterr()
     out_dir = tmp_path / "run"

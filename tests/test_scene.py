@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from procamsim.scene import (
     MarkerPlacement,
     PrismTarget,
     Trajectory,
+    calibration_board,
     decode_payload,
+    default_scene_document,
     encode_marker_bits,
     evaluation_board,
     hex_prism,
@@ -265,6 +268,41 @@ def test_scene_json_errors(tmp_path):
         load_scene(path)
     with pytest.raises(SceneFormatError):
         load_scene(tmp_path / "missing.json")
+    marker = {"id": 1, "center_mm": [0.0, 0.0]}
+    for bad in (
+        [],
+        {"targets": {"x": []}},
+        {"targets": {"b": {"type": "board", "extent_mm": [20.0, 20.0],
+                           "markers": [{"id": 1, "center_mm": [10.0, 0.0]}]}}},
+        {"targets": {"b": {"type": "board", "extent_mm": [50.0, 50.0],
+                           "markers": [{"id": 1, "center_mm": ["left", 0.0]}]}}},
+        {"targets": {"b": {"type": "board", "extent_mm": [50.0, 50.0],
+                           "markers": [marker], "reference_dots": [[5.0, 5.0]]}}},
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SceneFormatError):
+            load_scene(path)
+
+
+def _marker_ids(target):
+    return target.marker_ids() if isinstance(target, FiducialBoard) else list(target.marker_ids)
+
+
+def test_scene_file_and_built_in_targets_match_the_default_document(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(default_scene_document()))
+    documented = load_scene(path)
+    shipped = load_scene(Path(__file__).resolve().parents[1] / "configs" / "scene.json")
+    built_in = {"calibration_board": calibration_board(),
+                "evaluation_board": evaluation_board(), "prism": hex_prism()}
+    assert documented.keys() == shipped.keys() == built_in.keys()
+    for name, target in documented.items():
+        for other in (shipped[name], built_in[name]):
+            assert type(other) is type(target)
+            assert _marker_ids(other) == _marker_ids(target)
+            assert len(other.faces()) == len(target.faces())
+            for a, b in zip(other.faces(), target.faces()):
+                assert np.array_equal(a.albedo.data, b.albedo.data)
 
 
 def test_trajectory_json(tmp_path):
