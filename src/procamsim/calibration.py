@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BehindCamera,
     DegenerateMotion,
     InsufficientStations,
     InsufficientViews,
@@ -29,12 +28,13 @@ from .geometry import (
     Homography,
     Intrinsics,
     Pose,
-    axis_angle_from_rotation,
+    extrinsics_from_homography,
     homography_dlt,
     rotation_from_axis_angle,
 )
 from .optim import levenberg_marquardt
 from .optics import EtlModel, current_for_power, intrinsics_at_power, power_for_focus
+from .scene import marker_corners_3d, write_object
 from .vision import NoiseModel, oracle_detect
 
 MIN_CORRESPONDENCES = 16
@@ -103,42 +103,6 @@ def zhang_closed_form(homographies: list[Homography]) -> Intrinsics:
     return Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
 
 
-def extrinsics_from_homography(intr: Intrinsics, h: Homography) -> Pose:
-    """Board pose from a board-to-ideal-pixel homography.
-
-    r1 = lam*Kinv*h1, r2 = lam*Kinv*h2, r3 = r1 x r2, t = lam*Kinv*h3; the
-    rotation is snapped to the nearest orthonormal matrix and the sign chosen
-    so the board sits in front of the lens.
-    """
-    kinv = np.linalg.inv(intr.matrix())
-    m = h.matrix
-    for sign in (1.0, -1.0):
-        hm = sign * m
-        r1 = kinv @ hm[:, 0]
-        lam = 1.0 / np.linalg.norm(r1)
-        r1 = lam * r1
-        r2 = lam * (kinv @ hm[:, 1])
-        t = lam * (kinv @ hm[:, 2])
-        if t[2] <= 0:
-            continue
-        r3 = np.cross(r1, r2)
-        rot = np.stack([r1, r2, r3], axis=1)
-        u, _, vt = np.linalg.svd(rot)
-        rot = u @ vt
-        if np.linalg.det(rot) < 0:
-            rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        return Pose(rot, t)
-    raise BehindCamera("both sign choices leave the board behind the lens")
-
-
-def _pack(intr6: np.ndarray, poses: list[Pose]) -> np.ndarray:
-    parts = [intr6]
-    for pose in poses:
-        parts.append(axis_angle_from_rotation(pose.rotation))
-        parts.append(pose.translation)
-    return np.concatenate(parts)
-
-
 def _reprojection_residuals(views: list[CalibView]):
     counts = [v.object_points.shape[0] for v in views]
 
@@ -148,6 +112,7 @@ def _reprojection_residuals(views: list[CalibView]):
         offset = 0
         for i, view in enumerate(views):
             base = 6 + 6 * i
+            # Inline slices, not Pose.from_vector: this runs ~10^4 times per sweep.
             rot = rotation_from_axis_angle(x[base: base + 3])
             t = x[base + 3: base + 6]
             pts = np.hstack([view.object_points, np.zeros((counts[i], 1))])
@@ -179,18 +144,14 @@ def refine_lm(
     """Joint refinement of pinhole constants, radial terms, and board poses."""
     if len(views) < MIN_VIEWS:
         raise InsufficientViews(f"need at least {MIN_VIEWS} views")
-    x0 = _pack(
-        np.array([init_intr.fx, init_intr.fy, init_intr.cx, init_intr.cy,
-                  init_intr.k1, init_intr.k2]),
-        init_poses,
+    x0 = np.concatenate(
+        [[init_intr.fx, init_intr.fy, init_intr.cx, init_intr.cy, init_intr.k1, init_intr.k2]]
+        + [pose.vector() for pose in init_poses]
     )
     result = levenberg_marquardt(_reprojection_residuals(views), x0)
     x = result.x
     intr = Intrinsics(fx=x[0], fy=x[1], cx=x[2], cy=x[3], k1=x[4], k2=x[5])
-    poses = []
-    for i in range(len(views)):
-        base = 6 + 6 * i
-        poses.append(Pose(rotation_from_axis_angle(x[base: base + 3]), x[base + 3: base + 6]))
+    poses = [Pose.from_vector(x[6 + 6 * i: 12 + 6 * i]) for i in range(len(views))]
     n_residuals = 2 * sum(v.object_points.shape[0] for v in views)
     rms = math.sqrt(result.cost / n_residuals)
     return intr, poses, rms
@@ -325,8 +286,6 @@ def sweep_calibrate(
             obj = []
             img = []
             for det in detections:
-                from .scene import marker_corners_3d
-
                 corners3 = marker_corners_3d(board, det.marker_id)
                 obj.append(corners3[:, :2])
                 img.append(det.corners)
@@ -360,6 +319,7 @@ def _station_detections(board, pose, etl, base_intr, power, device_wh,
     if detector == "oracle":
         return oracle_detect(board, pose, true_intr, 0.0, noise, det_seed)
     if detector == "image":
+        # Imported per call: wrappers set on these names after import must see each capture.
         from .imaging import render_capture
         from .vision import detect_markers
 
@@ -416,12 +376,7 @@ def save_profile(profile: IntrinsicProfile, path) -> None:
             for e in profile.entries
         ],
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write profile {path}: {exc}") from exc
+    write_object(path, doc, "profile")
 
 
 _ENTRY_FIELDS = ("power_d", "current_ma", "fx", "fy", "cx", "cy", "k1", "k2", "rms_px")

@@ -7,7 +7,7 @@ validates its inputs before creating any output.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
@@ -22,15 +22,17 @@ from .imaging import render_capture, write_image
 from .optics import blur_radius, make_disk_psf
 from .pipeline import (
     DpmSetup,
+    EvalRow,
     EvalSetup,
     run_alignment_eval,
     run_dpm,
     timing_summary,
     write_metrics,
+    write_table,
     write_timings,
     zone_transitions,
 )
-from .scene import load_scene, load_trajectory
+from .scene import FiducialBoard, load_scene, load_trajectory, write_object
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,15 +42,17 @@ EXIT_LOST = 4
 FRAME_TIME_WARN_MS = 1000.0
 
 
-def _require_target(cfg: RunConfig, name: str):
+def _require_target(cfg: RunConfig, name: str, kind=object):
     targets = load_scene(cfg.scene_path)
     if name not in targets:
         raise ConfigError(f"scene file does not define a {name!r} target")
+    if not isinstance(targets[name], kind):
+        raise ConfigError(f"scene target {name!r} must be a {kind.__name__}")
     return targets[name]
 
 
 def cmd_calibrate(cfg: RunConfig, out_profile: str) -> int:
-    board = _require_target(cfg, "calibration_board")
+    board = _require_target(cfg, "calibration_board", FiducialBoard)
     profile = sweep_calibrate(
         board, cfg.etl, cfg.base_intrinsics, cfg.device_wh, cfg.stations,
         detector=cfg.detector, noise=cfg.corner_noise, seed=cfg.seed,
@@ -68,7 +72,7 @@ def cmd_eval(cfg: RunConfig, profile_path: str, mode: str, fixed_at: float | Non
         raise ConfigError("--mode fixed requires --fixed-at")
     if fixed_at is not None and not fixed_at > 0.0:
         raise ConfigError(f"--fixed-at must be a positive distance, got {fixed_at}")
-    board = _require_target(cfg, "evaluation_board")
+    board = _require_target(cfg, "evaluation_board", FiducialBoard)
     profile = load_profile(profile_path)
     setup = EvalSetup.from_config(
         cfg, profile, board=board, stations=cfg.stations,
@@ -76,11 +80,8 @@ def cmd_eval(cfg: RunConfig, profile_path: str, mode: str, fixed_at: float | Non
     )
     pinned = {"fixed_at_mm": fixed_at} if mode == "fixed" else {}
     rows = run_alignment_eval(setup, mode, **pinned)
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write("distance_mm,mean_mm,std_mm,blur_ir_px,blur_vis_px\n")
-        for r in rows:
-            fh.write(f"{r.distance_mm!r},{r.mean_mm!r},{r.std_mm!r},"
-                     f"{r.blur_ir_px!r},{r.blur_vis_px!r}\n")
+    write_table(out_csv, [f.name for f in dataclasses.fields(EvalRow)],
+                map(dataclasses.astuple, rows))
     print(f"wrote {len(rows)} rows to {out_csv}")
     print(f"{'distance':>9} {'mean_mm':>9} {'std_mm':>9} {'blur_ir':>8} {'blur_vis':>9}")
     for r in rows:
@@ -111,9 +112,7 @@ def cmd_dpm(cfg: RunConfig, profile_path: str, trajectory_path: str, out_dir: st
         "profile": profile_path,
         "detector": cfg.detector,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_object(os.path.join(out_dir, "manifest.json"), manifest, "manifest")
 
     transitions = zone_transitions(records)
     print(f"zone transitions at frames: {transitions}")
@@ -134,12 +133,12 @@ def cmd_dpm(cfg: RunConfig, profile_path: str, trajectory_path: str, out_dir: st
 
 def cmd_render(cfg: RunConfig, distance: float, power: float, out_path: str) -> int:
     board = _require_target(cfg, "evaluation_board")
+    blur = blur_radius(cfg.etl, distance, power)  # rejects a distance <= 0 before rendering
     pose = Pose(np.eye(3), np.array([0.0, 0.0, distance]))
     img = render_capture(board, pose, cfg.etl, cfg.base_intrinsics, power,
                          cfg.device_wh, noise_sigma=cfg.sensor_sigma, seed=cfg.seed)
     write_image(img, out_path)
-    print(f"wrote {out_path} ({cfg.device_wh[0]}x{cfg.device_wh[1]}, "
-          f"blur {blur_radius(cfg.etl, distance, power):.3f} px)")
+    print(f"wrote {out_path} ({cfg.device_wh[0]}x{cfg.device_wh[1]}, blur {blur:.3f} px)")
     return EXIT_OK
 
 
@@ -197,6 +196,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if getattr(args, "out", None) and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out {args.out}: its directory does not exist")
+        if os.path.exists(getattr(args, "out_dir", "")) and not os.path.isdir(args.out_dir):
+            raise ConfigError(f"--out-dir {args.out_dir} exists and is not a directory")
         if args.command == "calibrate":
             return cmd_calibrate(cfg, args.out)
         if args.command == "eval":

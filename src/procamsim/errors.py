@@ -19,6 +19,10 @@ class NoConvergence(ProcamError):
     """Iterative undistortion failed to converge within the iteration cap."""
 
 
+class BeyondDistortionRange(ProcamError, ValueError):
+    """Normalized point lies outside the unit disc where undistortion is defined."""
+
+
 class DegenerateConfiguration(ProcamError):
     """Point configuration is rank-deficient for the requested estimation."""
 

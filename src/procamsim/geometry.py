@@ -1,4 +1,4 @@
-"""Core projective geometry: intrinsics, rigid poses, homographies, distortion.
+"""Core projective geometry: intrinsics, poses, homographies and their decomposition, distortion.
 
 Conventions
 -----------
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BehindCamera,
+    BeyondDistortionRange,
     DegenerateConfiguration,
     NoConvergence,
     PointAtInfinity,
@@ -86,6 +88,15 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
+
+    @staticmethod
+    def from_vector(x) -> "Pose":
+        """Pose from the 6-vector (axis-angle radians, translation mm) that the LMs refine."""
+        return Pose(rotation_from_axis_angle(x[:3]), x[3:6])
+
+    def vector(self) -> np.ndarray:
+        """The 6-vector ``from_vector`` reads."""
+        return np.concatenate([axis_angle_from_rotation(self.rotation), self.translation])
 
     def compose(self, other: "Pose") -> "Pose":
         """Return self ∘ other (apply ``other`` first)."""
@@ -161,7 +172,7 @@ def undistort(intr: Intrinsics, p_distorted) -> np.ndarray:
     """Invert the radial model for one normalized point by fixed-point iteration."""
     pd = np.asarray(p_distorted, dtype=float)
     if np.hypot(pd[0], pd[1]) >= 1.0:
-        raise ValueError("undistort expects |p| < 1 in normalized coordinates")
+        raise BeyondDistortionRange("undistort expects |p| < 1 in normalized coordinates")
     q = pd.copy()
     for _ in range(UNDISTORT_MAX_ITER):
         r2 = q[0] * q[0] + q[1] * q[1]
@@ -241,6 +252,38 @@ def homography_dlt(src, dst) -> Homography:
     return Homography(h)
 
 
+def nearest_rotation(m: np.ndarray) -> np.ndarray:
+    """The rotation closest to ``m`` in the Frobenius norm (SVD snap, det +1)."""
+    u, _, vt = np.linalg.svd(m)
+    rot = u @ vt
+    if np.linalg.det(rot) < 0:
+        rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    return rot
+
+
+def extrinsics_from_homography(intr: Intrinsics, h: Homography) -> Pose:
+    """Plane pose from a plane-to-ideal-pixel homography.
+
+    r1 = lam*Kinv*h1, r2 = lam*Kinv*h2, r3 = r1 x r2, t = lam*Kinv*h3; the
+    rotation is snapped to the nearest orthonormal matrix and the sign chosen
+    so the plane sits in front of the lens.
+    """
+    kinv = np.linalg.inv(intr.matrix())
+    m = h.matrix
+    for sign in (1.0, -1.0):
+        hm = sign * m
+        r1 = kinv @ hm[:, 0]
+        lam = 1.0 / np.linalg.norm(r1)
+        r1 = lam * r1
+        r2 = lam * (kinv @ hm[:, 1])
+        t = lam * (kinv @ hm[:, 2])
+        if t[2] <= 0:
+            continue
+        rot = nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=1))
+        return Pose(rot, t)
+    raise BehindCamera("both sign choices leave the board behind the lens")
+
+
 def apply_homography(h: Homography, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     m = h.matrix if isinstance(h, Homography) else np.asarray(h, dtype=float)
@@ -267,23 +310,20 @@ def rotation_from_axis_angle(axis_angle) -> np.ndarray:
 
 
 def axis_angle_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Inverse Rodrigues map; stable for angles up to (not including) pi."""
+    """Inverse Rodrigues map for angles in [0, pi]; at pi either axis sign is returned."""
     r = np.asarray(r, dtype=float)
     cos_theta = max(-1.0, min(1.0, (np.trace(r) - 1.0) / 2.0))
-    theta = math.acos(cos_theta)
     skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if cos_theta < -0.99:
+        # Near pi, acos and sin(theta) lose precision: take the angle from atan2
+        # and the axis from the symmetric part, (1 - cos) k k^T = sym(r) - cos I.
+        theta = math.atan2(np.linalg.norm(skew) / 2.0, cos_theta)
+        m = (r + r.T) / 2.0 - cos_theta * np.eye(3)
+        axis = m[:, int(np.argmax(np.diag(m)))]
+        axis = axis / np.linalg.norm(axis)
+        return theta * (-axis if skew @ axis < 0 else axis)
+    theta = math.acos(cos_theta)
     sin_theta = math.sin(theta)
     if sin_theta > 1e-7:
         return (theta / (2.0 * sin_theta)) * skew
-    if theta < 1e-7:
-        return 0.5 * skew
-    # Near pi: recover the axis from the symmetric part.
-    b = (r + np.eye(3)) / 2.0
-    axis = np.sqrt(np.maximum(np.diag(b), 0.0))
-    i = int(np.argmax(axis))
-    if axis[i] > 0:
-        axis = b[i] / axis[i]
-        axis = axis / np.linalg.norm(axis)
-    if skew @ axis < 0:
-        axis = -axis
-    return theta * axis
+    return 0.5 * skew

@@ -12,22 +12,25 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import optics
 from .calibration import IntrinsicProfile, _etl_hash, interpolate
-from .errors import ConfigError, IoError, NoKnownMarkers, PointBehindCamera, TargetLost
-from .geometry import Intrinsics, Pose, project, undistort
+from .errors import (BeyondDistortionRange, ConfigError, IoError, NoKnownMarkers,
+                     PointBehindCamera, TargetLost)
+from .geometry import Intrinsics, Pose, project, rotation_from_axis_angle, undistort
 from .image import Image
 from .imaging import (
     DEFAULT_SENSOR_SIGMA,
+    default_external_camera,
     face_ray_homography,
     render_capture,
     render_device_image,
     render_external,
     render_projection_on_surface,
+    write_image,
 )
 from .optics import (
     EtlModel,
@@ -285,9 +288,9 @@ def face_transfer_misalignment(
         face = faces[idx]
         try:
             px = project(intr_est, pose_est, face.point_at(0.0, 0.0))
-        except PointBehindCamera:
+            landed = device_px_to_face_mm(px, intr_true, pose_true, face)
+        except (PointBehindCamera, BeyondDistortionRange):
             continue
-        landed = device_px_to_face_mm(px, intr_true, pose_true, face)
         errors.append(float(np.hypot(landed[0], landed[1])))
     if not errors:
         return math.inf
@@ -330,8 +333,6 @@ def _board_pose(z_mm: float, tilt_deg: float) -> Pose:
     almost exactly by the estimated pose, hiding the misalignment the fixed
     mode is supposed to show; the diagonal axis avoids that degeneracy.
     """
-    from .geometry import rotation_from_axis_angle
-
     axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     rot = rotation_from_axis_angle(axis * math.radians(tilt_deg))
     return Pose(rot, np.array([0.0, 0.0, z_mm]))
@@ -447,11 +448,7 @@ class FrameRecord:
     timings_ms: dict = field(default_factory=dict, compare=False)
 
 
-METRICS_FIELDS = [
-    "frame_index", "time_s", "true_distance_mm", "estimated_distance_mm",
-    "power_d", "power_clamped", "blur_ir_px", "blur_vis_px", "zone",
-    "misalignment_mm", "pose_err_mm", "pose_err_deg", "target_lost",
-]
+METRICS_FIELDS = [f.name for f in fields(FrameRecord) if f.name != "timings_ms"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -471,8 +468,6 @@ def run_dpm(setup: DpmSetup, trajectory: Trajectory, out_dir=None):
     Returns (records, artifacts): per-frame metric records and the list of
     image files written when ``out_dir`` is given.
     """
-    from .imaging import default_external_camera, write_image
-
     ext = setup.external_camera or default_external_camera()
     target = setup.prism
     state = ControllerState.initial(setup.profile, setup.etl)
@@ -591,21 +586,27 @@ def _csv_field(value) -> str:
     return text
 
 
+def write_table(path, header, rows) -> None:
+    """The one CSV writer: the header, then each row, ``_csv_field`` values, LF endings."""
+    table = [header, *rows]
+    if len(table) == 1:
+        raise ValueError(f"no rows to write to {path}")
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for row in table:
+                fh.write(",".join(map(_csv_field, row)) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_metrics(records: list[FrameRecord], path) -> None:
     """Deterministic metrics CSV: fixed header, repr floats, LF endings.
 
     Wall-clock timings are volatile and live in a separate file; see
     ``write_timings``.
     """
-    if not records:
-        raise ValueError("no records to write")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(METRICS_FIELDS) + "\n")
-            for rec in records:
-                fh.write(",".join(_csv_field(getattr(rec, f)) for f in METRICS_FIELDS) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write metrics {path}: {exc}") from exc
+    write_table(path, METRICS_FIELDS,
+                ([getattr(rec, f) for f in METRICS_FIELDS] for rec in records))
 
 
 def read_metrics(path) -> list[dict]:
@@ -617,19 +618,10 @@ def read_metrics(path) -> list[dict]:
 
 
 def write_timings(records: list[FrameRecord], path) -> None:
-    if not records:
-        raise ValueError("no records to write")
     stages = sorted({k for rec in records for k in rec.timings_ms})
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["frame_index"] + stages) + "\n")
-            for rec in records:
-                row = [str(rec.frame_index)] + [
-                    repr(rec.timings_ms.get(s, 0.0)) for s in stages
-                ]
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write timings {path}: {exc}") from exc
+    write_table(path, ["frame_index"] + stages,
+                ([rec.frame_index] + [rec.timings_ms.get(s, 0.0) for s in stages]
+                 for rec in records))
 
 
 def timing_summary(records: list[FrameRecord]) -> dict[str, float]:

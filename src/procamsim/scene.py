@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DistanceOutOfRange,
+    IoError,
     SceneFormatError,
     TimeOutOfRange,
     UnknownMarkerId,
@@ -456,6 +457,16 @@ def _read_object(path, what: str, error=SceneFormatError) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{what} {path} must hold a JSON object")
     return doc
+
+
+def write_object(path, doc: dict, what: str) -> None:
+    """Write ``doc`` as indented JSON ending in a newline; an OSError raises IoError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def _given(doc: dict, **kinds) -> dict:

@@ -21,10 +21,10 @@ from .errors import (
 from .geometry import (
     Intrinsics,
     Pose,
-    axis_angle_from_rotation,
+    extrinsics_from_homography,
     homography_dlt,
+    nearest_rotation,
     project_many,
-    rotation_from_axis_angle,
     undistort_many,
 )
 from .image import Image
@@ -426,17 +426,18 @@ def _ideal_pixels(intr: Intrinsics, image_points: np.ndarray) -> np.ndarray:
     return np.stack([intr.fx * pn[:, 0] + intr.cx, intr.fy * pn[:, 1] + intr.cy], axis=1)
 
 
-def _pose_residuals(intr, object_points, image_points):
-    def fn(x):
-        pose = Pose(rotation_from_axis_angle(x[:3]), x[3:])
-        px, valid = project_many(intr, pose, object_points)
+def _refine_pose(intr, object_points, image_points, init: Pose) -> tuple[Pose, float]:
+    """Damped least squares over the pose 6-vector; returns (pose, rms px)."""
+    def residuals(x):
+        px, valid = project_many(intr, Pose.from_vector(x), object_points)
         res = (px - image_points).ravel()
         if not valid.all():
             res = res.copy()
             res[np.repeat(~valid, 2)] = 1e6
         return res
 
-    return fn
+    result = levenberg_marquardt(residuals, init.vector())
+    return Pose.from_vector(result.x), math.sqrt(result.cost / (2 * object_points.shape[0]))
 
 
 def pnp_planar(intr: Intrinsics, object_points, image_points) -> tuple[Pose, float]:
@@ -445,8 +446,6 @@ def pnp_planar(intr: Intrinsics, object_points, image_points) -> tuple[Pose, flo
     Homography initialization on undistorted points, then damped least
     squares over the six pose parameters against the raw observations.
     """
-    from .calibration import extrinsics_from_homography
-
     object_points = np.asarray(object_points, dtype=float).reshape(-1, 3)
     image_points = np.asarray(image_points, dtype=float).reshape(-1, 2)
     if object_points.shape[0] < 4 or object_points.shape[0] != image_points.shape[0]:
@@ -459,17 +458,9 @@ def pnp_planar(intr: Intrinsics, object_points, image_points) -> tuple[Pose, flo
     pose_plane = extrinsics_from_homography(intr, h)
     # Convert the plane-frame pose into the object frame.
     basis = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
-    rotation = pose_plane.rotation @ basis.T
-    u, _, vt = np.linalg.svd(rotation)
-    rotation = u @ vt
-    if np.linalg.det(rotation) < 0:
-        rotation = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    translation = pose_plane.translation - rotation @ centroid
-    x0 = np.concatenate([axis_angle_from_rotation(rotation), translation])
-    result = levenberg_marquardt(_pose_residuals(intr, object_points, image_points), x0)
-    pose = Pose(rotation_from_axis_angle(result.x[:3]), result.x[3:])
-    rms = math.sqrt(result.cost / (2 * object_points.shape[0]))
-    return pose, rms
+    rotation = nearest_rotation(pose_plane.rotation @ basis.T)
+    init = Pose(rotation, pose_plane.translation - rotation @ centroid)
+    return _refine_pose(intr, object_points, image_points, init)
 
 
 def estimate_target_distance(pose: Pose) -> float:
@@ -487,11 +478,7 @@ def fuse_prism_pose(detections, prism: PrismTarget, intr: Intrinsics) -> tuple[P
     # Initialize from the face with the largest image footprint.
     best = max(known, key=lambda d: (abs(_signed_area(d.corners)), -d.marker_id))
     init_pose, _ = pnp_planar(intr, marker_corners_3d(prism, best.marker_id), best.corners)
-    x0 = np.concatenate([axis_angle_from_rotation(init_pose.rotation), init_pose.translation])
-    result = levenberg_marquardt(_pose_residuals(intr, obj, img), x0)
-    pose = Pose(rotation_from_axis_angle(result.x[:3]), result.x[3:])
-    rms = math.sqrt(result.cost / (2 * obj.shape[0]))
-    return pose, rms
+    return _refine_pose(intr, obj, img, init_pose)
 
 
 def estimate_pose(target, detections, intr: Intrinsics) -> tuple[Pose, float]:

@@ -204,7 +204,7 @@ def test_cmd_eval_adaptive_rows(workspace):
                  "--mode", "adaptive", "--out", str(out_csv)])
     assert code == 0
     lines = out_csv.read_text().splitlines()
-    assert lines[0] == "distance_mm,mean_mm,std_mm,blur_ir_px,blur_vis_px"
+    assert lines[0] == "distance_mm,mean_mm,std_mm,blur_ir_px,blur_vis_px,frames_lost"
     assert len(lines) == 4  # header + 3 stations
     for line in lines[1:]:
         assert float(line.split(",")[1]) < 0.5
@@ -281,3 +281,65 @@ def test_cmd_render_and_psf(workspace, capsys):
     assert main(["psf", "--config", str(config), "--distance", "70",
                  "--power", "0"]) == 0
     assert "blur radius 16.8067" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("distance", ["0", "-5"])
+def test_cmd_render_rejects_non_positive_distance(workspace, capsys, distance):
+    tmp_path, config, _ = workspace
+    out = tmp_path / "frame.pgm"
+    code = main(["render", "--config", str(config), "--distance", distance, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NonPositiveDistance" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, prism_as, out", [
+    pytest.param("eval", "evaluation_board", "e.csv", id="eval-prism-as-board"),
+    pytest.param("calibrate", "calibration_board", "p.json", id="calibrate-prism-as-board"),
+    pytest.param("eval", None, "missing/e.csv", id="eval-missing-dir"),
+    pytest.param("calibrate", None, "missing/p.json", id="calibrate-missing-dir"),
+    pytest.param("dpm", None, "profile.json", id="dpm-out-dir-is-a-file"),
+])
+def test_cmd_rejects_wrong_target_kind_or_unusable_output(workspace, capsys, command,
+                                                          prism_as, out):
+    tmp_path, config, traj = workspace
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
+    if prism_as is not None:
+        scene = tmp_path / "scene.json"
+        doc = json.loads(scene.read_text())
+        doc["targets"][prism_as] = {"type": "prism"}
+        scene.write_text(json.dumps(doc))
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    out = tmp_path / out
+    args = {"calibrate": ["--out", str(out)],
+            "eval": ["--profile", str(profile), "--mode", "adaptive", "--out", str(out)],
+            "dpm": ["--profile", str(profile), "--trajectory", str(traj),
+                    "--out-dir", str(out)]}
+    code = main([command, "--config", str(config), *args[command]])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(tmp_path.rglob("*")) == sorted(set(before) | {tmp_path / "scene.json"})
+
+
+def test_cmd_dpm_prism_leaving_the_view_loses_frames_not_the_run(workspace):
+    """Face centres far outside the raster are skipped; the run finishes."""
+    tmp_path, config, _ = workspace
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
+    doc = json.loads(config.read_text())
+    doc["dpm_frames"] = 4
+    config.write_text(json.dumps(doc))
+    sideways = tmp_path / "sideways.json"
+    sideways.write_text(json.dumps({"keyframes": [
+        {"t": 0.0, "translation": [0.0, 0.0, 150.0]},
+        {"t": 1.0, "translation": [400.0, 0.0, 150.0]},
+    ]}))
+    out_dir = tmp_path / "run"
+    code = main(["dpm", "--config", str(config), "--profile", str(profile),
+                 "--trajectory", str(sideways), "--out-dir", str(out_dir)])
+    assert code in (0, 4)
+    assert len((out_dir / "metrics.csv").read_text().splitlines()) == 5

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from procamsim.errors import (
+    BeyondDistortionRange,
     DegenerateConfiguration,
     PointAtInfinity,
     PointBehindCamera,
@@ -16,6 +18,7 @@ from procamsim.geometry import (
     axis_angle_from_rotation,
     distort_normalized,
     homography_dlt,
+    nearest_rotation,
     project,
     rotation_from_axis_angle,
     undistort,
@@ -69,6 +72,11 @@ def test_undistort_rejects_far_points():
     intr = Intrinsics(600.0, 600.0, 256.0, 256.0)
     with pytest.raises(ValueError):
         undistort(intr, (1.2, 0.0))
+
+
+def test_undistort_far_point_error_is_a_procam_error():
+    with pytest.raises(BeyondDistortionRange):
+        undistort(Intrinsics(600.0, 600.0, 256.0, 256.0, k1=-0.05), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("k1", [-0.2, -0.05, 0.0, 0.1, 0.2])
@@ -185,6 +193,34 @@ def test_rotation_round_trip_random():
         w = axis * angle
         back = axis_angle_from_rotation(rotation_from_axis_angle(w))
         assert np.max(np.abs(back - w)) < 1e-10
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=st.tuples(_unit, _unit, _unit).filter(lambda a: np.linalg.norm(a) > 0.1),
+       angle=st.floats(0.0, math.pi, exclude_max=True),
+       t=st.tuples(*[st.floats(-500.0, 500.0)] * 3))
+@example(axis=(0.3, -0.5, 0.8), angle=math.pi - 1e-6, t=(0.0, 0.0, 100.0))
+@example(axis=(0.3, -0.5, 0.8), angle=math.pi - 1e-9, t=(0.0, 0.0, 100.0))
+@example(axis=(1.0, 0.0, 0.0), angle=math.nextafter(math.pi, 0.0), t=(0.0, 0.0, 0.0))
+@example(axis=(0.0, 0.0, 1.0), angle=1e-9, t=(1.0, 2.0, 3.0))
+def test_pose_vector_round_trip(axis, angle, t):
+    """Across [0, pi), the near-pi branch of axis_angle_from_rotation included."""
+    pose = Pose(rotation_from_axis_angle(angle * np.asarray(axis) / np.linalg.norm(axis)), t)
+    back = Pose.from_vector(pose.vector())
+    assert np.max(np.abs(back.rotation - pose.rotation)) < 1e-12
+    assert np.array_equal(back.translation, pose.translation)
+
+
+def test_nearest_rotation_snaps_to_a_proper_rotation():
+    rng = np.random.default_rng(3)
+    r = rotation_from_axis_angle(rng.normal(size=3))
+    assert np.allclose(nearest_rotation(r + 1e-3 * rng.normal(size=(3, 3))), r, atol=1e-2)
+    reflected = nearest_rotation(r @ np.diag([1.0, 1.0, -1.0]))
+    assert abs(np.linalg.det(reflected) - 1.0) < 1e-12
+    assert np.allclose(reflected @ reflected.T, np.eye(3), atol=1e-12)
 
 
 def test_pose_inverse_law():
