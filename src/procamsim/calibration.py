@@ -390,6 +390,8 @@ def load_profile(path) -> IntrinsicProfile:
         raise IoError(f"cannot read profile {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"profile {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"profile {path} is not a JSON object")
     if doc.get("version") != PROFILE_VERSION:
         raise SchemaError(f"unsupported profile version {doc.get('version')!r}")
     device = doc.get("device")
@@ -400,6 +402,8 @@ def load_profile(path) -> IntrinsicProfile:
         raise SchemaError("profile is missing entries")
     entries = []
     for raw in raw_entries:
+        if not isinstance(raw, dict):
+            raise SchemaError(f"profile entry {raw!r} is not an object")
         if any(field not in raw for field in _ENTRY_FIELDS):
             missing = [f for f in _ENTRY_FIELDS if f not in raw]
             raise SchemaError(f"profile entry missing fields {missing}")
@@ -409,7 +413,7 @@ def load_profile(path) -> IntrinsicProfile:
                               k1=float(raw["k1"]), k2=float(raw["k2"]))
             entries.append(ProfileEntry(float(raw["power_d"]), float(raw["current_ma"]),
                                         intr, float(raw["rms_px"])))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"invalid profile entry: {exc}") from exc
     try:
         return IntrinsicProfile(
@@ -417,5 +421,5 @@ def load_profile(path) -> IntrinsicProfile:
             device_wh=(int(device["width"]), int(device["height"])),
             etl_hash=str(doc.get("etl_hash", "")),
         )
-    except InsufficientStations as exc:
-        raise SchemaError(str(exc)) from exc
+    except (InsufficientStations, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"invalid profile {path}: {exc}") from exc

@@ -196,8 +196,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if getattr(args, "out", None) and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ConfigError(f"--out {args.out}: its directory does not exist")
+        out = getattr(args, "out", None)
+        if out and os.path.isdir(out):
+            raise ConfigError(f"--out {out} is a directory")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"--out {out}: its directory does not exist")
         if os.path.exists(getattr(args, "out_dir", "")) and not os.path.isdir(args.out_dir):
             raise ConfigError(f"--out-dir {args.out_dir} exists and is not a directory")
         if args.command == "calibrate":

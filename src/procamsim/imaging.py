@@ -61,6 +61,9 @@ def default_external_camera() -> ExternalCamera:
 
 # --- warp machinery ----------------------------------------------------------
 
+_last_grid: dict = {}  # at most one entry: (intr, width, height, supersample) -> grid
+
+
 def _undistorted_grid(
     intr: Intrinsics, width: int, height: int, supersample: int = 1
 ) -> np.ndarray:
@@ -68,16 +71,29 @@ def _undistorted_grid(
 
     With ``supersample`` = n the raster is sampled n times per pixel per
     axis, centered inside each pixel footprint, for later box averaging.
+
+    The last grid is kept and returned read-only: the calibration sweep
+    renders every view of a focus station with the same intrinsics, so one
+    entry saves all but one inversion per station. The old entry is dropped
+    before a new grid is built, so the cache never holds two grids at once.
+    A dpm frame asks for three different grids and never hits.
     """
+    key = (intr, width, height, supersample)
+    grid = _last_grid.get(key)
+    if grid is not None:
+        return grid
+    _last_grid.clear()
     xs = (np.arange(width * supersample) + 0.5) / supersample - 0.5
     ys = (np.arange(height * supersample) + 0.5) / supersample - 0.5
     u = (xs - intr.cx) / intr.fx
     v = (ys - intr.cy) / intr.fy
     gu, gv = np.meshgrid(u, v)
-    pn = np.stack([gu, gv], axis=-1)
-    if intr.k1 == 0.0 and intr.k2 == 0.0:
-        return pn
-    return undistort_many(intr, pn, iterations=12)
+    grid = np.stack([gu, gv], axis=-1)
+    if intr.k1 != 0.0 or intr.k2 != 0.0:
+        grid = undistort_many(intr, grid, iterations=12)
+    grid.flags.writeable = False
+    _last_grid[key] = grid
+    return grid
 
 
 def face_ray_homography(pose: Pose, face: SceneFace) -> np.ndarray:

@@ -364,6 +364,27 @@ def test_profile_load_rejects_bad_version(tmp_path, clean_profile):
         load_profile(path)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc: [], id="document-is-a-list"),
+    pytest.param(lambda doc: {**doc, "entries": [5, *doc["entries"]]}, id="entry-is-a-number"),
+    pytest.param(lambda doc: {**doc, "entries": [{**doc["entries"][0], "fx": None},
+                                                 *doc["entries"][1:]]}, id="fx-is-null"),
+    pytest.param(lambda doc: {**doc, "device": {"width": "wide", "height": 512}},
+                 id="width-is-text"),
+    pytest.param(lambda doc: {**doc, "device": {"width": float("inf"), "height": 512}},
+                 id="width-is-infinite"),
+])
+def test_profile_load_rejects_malformed_documents_with_schema_error(tmp_path, clean_profile,
+                                                                    edit):
+    import json
+
+    path = tmp_path / "profile.json"
+    save_profile(clean_profile, path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(SchemaError):
+        load_profile(path)
+
+
 def test_profile_missing_file():
     with pytest.raises(IoError):
         load_profile("/nonexistent/profile.json")

@@ -325,6 +325,27 @@ def test_cmd_rejects_wrong_target_kind_or_unusable_output(workspace, capsys, com
     assert sorted(tmp_path.rglob("*")) == sorted(set(before) | {tmp_path / "scene.json"})
 
 
+@pytest.mark.parametrize("command", ["render", "calibrate", "eval"])
+def test_cmd_rejects_out_naming_a_directory_before_any_work(workspace, capsys, command):
+    tmp_path, config, _ = workspace
+    profile = tmp_path / "profile.json"
+    if command == "eval":
+        assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    args = {"render": ["--distance", "170"],
+            "calibrate": [],
+            "eval": ["--profile", str(profile), "--mode", "adaptive"]}
+    code = main([command, "--config", str(config), *args[command], "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is a directory" in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert not any(out.iterdir())
+
+
 def test_cmd_dpm_prism_leaving_the_view_loses_frames_not_the_run(workspace):
     """Face centres far outside the raster are skipped; the run finishes."""
     tmp_path, config, _ = workspace

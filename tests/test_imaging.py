@@ -1,9 +1,11 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from procamsim import imaging
+from procamsim.calibration import sweep_calibrate
 from procamsim.errors import DimensionMismatch, EmptyRegion, IoError, NoVisibleSurface
 from procamsim.geometry import (
     Homography,
@@ -28,7 +30,7 @@ from procamsim.imaging import (
 )
 from procamsim.optics import EtlModel, convolve, intrinsics_at_power, make_disk_psf, power_for_focus
 from procamsim.scene import SceneFace, marker_corners_3d
-from tests.conftest import frontal_pose
+from tests.conftest import DEVICE_WH, frontal_pose
 
 
 @dataclass
@@ -241,6 +243,71 @@ def test_external_linear_in_irradiance(eval_board, etl, base_intr):
     lhs = half_view.data - base_view.data
     rhs = 0.5 * (full_view.data - base_view.data)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def _count_grid_builds(monkeypatch) -> list:
+    """Record every radial inversion of a ray grid made through imaging."""
+    calls = []
+    invert = imaging.undistort_many
+
+    def counted(intr, pd, **kwargs):
+        calls.append(intr)
+        return invert(intr, pd, **kwargs)
+
+    monkeypatch.setattr(imaging, "undistort_many", counted)
+    return calls
+
+
+# Each cache test uses distortion no other test uses, so its first render misses.
+
+def test_ray_grid_is_built_once_for_repeated_intrinsics(monkeypatch, eval_board, etl,
+                                                        base_intr):
+    calls = _count_grid_builds(monkeypatch)
+    intr = replace(base_intr, k1=-0.0501)
+    pose = frontal_pose(150.0)
+    a = render_capture(eval_board, pose, etl, intr, 0.0, (256, 256), seed=3)
+    b = render_capture(eval_board, pose, etl, intr, 0.0, (256, 256), seed=3)
+    assert len(calls) == 1
+    assert np.array_equal(a.data, b.data)
+
+
+def test_ray_grid_cache_keeps_one_entry_and_stays_exact(monkeypatch, eval_board, etl,
+                                                        base_intr):
+    calls = _count_grid_builds(monkeypatch)
+    intr_a = replace(base_intr, k1=-0.0502)
+    intr_b = replace(base_intr, k1=-0.0503)
+    pose = frontal_pose(130.0)
+    first = render_capture(eval_board, pose, etl, intr_a, 0.0, (256, 256), seed=4)
+    render_capture(eval_board, pose, etl, intr_b, 0.0, (256, 256), seed=4)
+    again = render_capture(eval_board, pose, etl, intr_a, 0.0, (256, 256), seed=4)
+    assert len(calls) == 3
+    assert again.data.tobytes() == first.data.tobytes()
+
+
+def test_cached_ray_grid_is_read_only(base_intr):
+    grid = imaging._undistorted_grid(replace(base_intr, k1=-0.0504), 64, 48, supersample=2)
+    assert grid.shape == (96, 128, 2)
+    with pytest.raises(ValueError):
+        grid[0, 0, 0] = 0.0
+
+
+def test_image_sweep_builds_one_ray_grid_per_station(monkeypatch, calib_board, etl,
+                                                     base_intr):
+    calls = _count_grid_builds(monkeypatch)
+    renders = []
+    render = imaging.render_capture
+
+    def counted_render(*args, **kwargs):
+        renders.append(args)
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(imaging, "render_capture", counted_render)
+    intr = replace(base_intr, k1=-0.0505)
+    profile = sweep_calibrate(calib_board, etl, intr, DEVICE_WH, [110.0, 190.0],
+                              detector="image", seed=1)
+    assert len(profile.entries) == 2
+    assert len(renders) == 16
+    assert len(calls) == 2
 
 
 def test_centroid_single_pixel():
