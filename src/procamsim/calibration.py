@@ -32,6 +32,7 @@ from .geometry import (
     homography_dlt,
     rotation_from_axis_angle,
 )
+from .imaging import DEFAULT_SENSOR_SIGMA
 from .optim import levenberg_marquardt
 from .optics import EtlModel, current_for_power, intrinsics_at_power, power_for_focus
 from .scene import marker_corners_3d, write_object
@@ -39,6 +40,8 @@ from .vision import NoiseModel, oracle_detect
 
 MIN_CORRESPONDENCES = 16
 MIN_VIEWS = 3
+VIEWS_PER_STATION = 8
+MAX_TILT_DEG = 30.0
 
 
 @dataclass
@@ -210,14 +213,13 @@ class IntrinsicProfile:
 
 def station_poses(
     z_mm: float,
-    count: int = 8,
-    max_tilt_deg: float = 30.0,
+    count: int = VIEWS_PER_STATION,
     lateral_amp_mm: float = 4.0,
 ) -> list[Pose]:
     """Deterministic spread of board poses around one station distance.
 
     Tilts alternate around axes spaced 45 degrees apart with magnitudes up to
-    ``max_tilt_deg``, plus in-plane rotation, lateral offsets of amplitude
+    ``MAX_TILT_DEG``, plus in-plane rotation, lateral offsets of amplitude
     ``lateral_amp_mm``, and depth jitter, so the homographies are never
     co-planar in motion. Larger lateral amplitudes push the board toward the
     image rim, which is what keeps the radial terms observable at far
@@ -225,7 +227,7 @@ def station_poses(
     """
     poses = []
     for i in range(count):
-        tilt = math.radians(10.0 + (max_tilt_deg - 10.0) * ((i % 4) / 3.0))
+        tilt = math.radians(10.0 + (MAX_TILT_DEG - 10.0) * ((i % 4) / 3.0))
         axis_angle_dir = math.radians(45.0 * i)
         axis = np.array([math.cos(axis_angle_dir), math.sin(axis_angle_dir), 0.0])
         r_tilt = rotation_from_axis_angle(axis * tilt)
@@ -245,8 +247,7 @@ def _station_lateral_amp(board, etl, base_intr, device_wh, z_mm, power) -> float
     """Offset amplitude that reaches toward the image rim but keeps the board in view."""
     fx = intrinsics_at_power(etl, base_intr, power).fx
     half_fov_mm = z_mm * (min(device_wh) / 2.0) / fx
-    extent = getattr(board, "extent_mm", (60.0, 60.0))
-    board_half_diag = math.hypot(extent[0], extent[1]) / 2.0
+    board_half_diag = math.hypot(*board.extent_mm) / 2.0
     return max(4.0, 0.7 * (half_fov_mm - board_half_diag - 4.0))
 
 
@@ -259,13 +260,14 @@ def sweep_calibrate(
     detector: str = "oracle",
     noise: NoiseModel | None = None,
     seed: int = 0,
-    views_per_station: int = 8,
+    sensor_sigma: float = DEFAULT_SENSOR_SIGMA,
 ) -> IntrinsicProfile:
     """Calibrate at each station's in-focus power and assemble the profile.
 
     ``detector`` selects the correspondence source: "oracle" projects
     ground-truth corners with the noise model applied, "image" renders the
-    IR capture and runs the full marker detector.
+    IR capture with sensor noise ``sensor_sigma`` and runs the full marker
+    detector.
     """
     if len(stations) < 2:
         raise InsufficientStations("need at least two stations")
@@ -276,12 +278,12 @@ def sweep_calibrate(
         true_intr = intrinsics_at_power(etl, base_intr, power)
         amp = _station_lateral_amp(board, etl, base_intr, device_wh, z, power)
         views = []
-        poses = station_poses(z, views_per_station, lateral_amp_mm=amp)
+        poses = station_poses(z, lateral_amp_mm=amp)
         for view_idx, pose in enumerate(poses):
             det_seed = seed + 1000 * station_idx + view_idx
             detections = _station_detections(
                 board, pose, etl, base_intr, power, device_wh,
-                detector, noise, det_seed, true_intr,
+                detector, noise, det_seed, true_intr, sensor_sigma,
             )
             obj = []
             img = []
@@ -315,7 +317,7 @@ def sweep_calibrate(
 
 
 def _station_detections(board, pose, etl, base_intr, power, device_wh,
-                        detector, noise, det_seed, true_intr):
+                        detector, noise, det_seed, true_intr, sensor_sigma):
     if detector == "oracle":
         return oracle_detect(board, pose, true_intr, 0.0, noise, det_seed)
     if detector == "image":
@@ -324,7 +326,7 @@ def _station_detections(board, pose, etl, base_intr, power, device_wh,
         from .vision import detect_markers
 
         capture = render_capture(board, pose, etl, base_intr, power, device_wh,
-                                 seed=det_seed)
+                                 noise_sigma=sensor_sigma, seed=det_seed)
         return detect_markers(capture)
     raise ValueError(f"unknown detector mode {detector!r}")
 

@@ -56,6 +56,7 @@ def cmd_calibrate(cfg: RunConfig, out_profile: str) -> int:
     profile = sweep_calibrate(
         board, cfg.etl, cfg.base_intrinsics, cfg.device_wh, cfg.stations,
         detector=cfg.detector, noise=cfg.corner_noise, seed=cfg.seed,
+        sensor_sigma=cfg.sensor_sigma,
     )
     save_profile(profile, out_profile)
     print(f"wrote profile with {len(profile.entries)} stations to {out_profile}")

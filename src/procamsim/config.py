@@ -14,7 +14,7 @@ from .geometry import Intrinsics
 from .imaging import DEFAULT_SENSOR_SIGMA, ExternalCamera, default_external_camera
 from .optics import EtlModel
 from .pipeline import EMA_ALPHA, SETTLE_STEPS, DpmSetup, EvalSetup, Rig
-from .scene import _read_object
+from .scene import WORKING_RANGE_MM, _read_object
 from .vision import _MIN_IMAGE_PX, NoiseModel
 
 DETECTOR_MODES = ("image", "oracle")
@@ -67,9 +67,10 @@ class RunConfig:
             raise ConfigError(f"detector must be one of {DETECTOR_MODES}")
         if not self.stations:
             raise ConfigError("stations list is empty")
+        lo, hi = WORKING_RANGE_MM
         for z in self.stations:
-            if not (70.0 <= z <= 250.0):
-                raise ConfigError(f"station {z} mm outside the 70..250 mm working range")
+            if not (lo <= z <= hi):
+                raise ConfigError(f"station {z} mm outside the {lo:g}..{hi:g} mm working range")
         if self.settle_steps < 1:
             raise ConfigError(f"settle_steps must be at least 1, got {self.settle_steps}")
         if self.dpm_frames < 1:

@@ -2,9 +2,10 @@
 
 Capture and projection share one pinhole model (single image plane), so the
 device-to-face map used to render a capture is, by construction, the exact
-inverse of the face-to-device map used to project. All warps run on the full
-pixel grid with bilinear sampling; defocus is a uniform per-frame disk blur
-evaluated at the target origin's distance.
+inverse of the face-to-device map used to project. The external view is a
+device-image render of the lit faces through the external camera. All warps
+run on the full pixel grid with bilinear sampling; defocus is a uniform
+per-frame disk blur evaluated at the target origin's distance.
 """
 from __future__ import annotations
 
@@ -104,13 +105,8 @@ def face_ray_homography(pose: Pose, face: SceneFace) -> np.ndarray:
     )
 
 
-def bilinear_sample(plane: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sample an (h, w) array at float coordinates with edge clamping."""
-    return bilinear_sample_multi(plane[:, :, None], x, y)[..., 0]
-
-
 def bilinear_sample_multi(tex: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sample an (h, w, c) array at float coordinates; indices computed once."""
+    """Sample an (h, w, c) array at float coordinates with edge clamping."""
     h, w = tex.shape[:2]
     x = np.clip(x, 0.0, w - 1.0)
     y = np.clip(y, 0.0, h - 1.0)
@@ -131,16 +127,15 @@ def _warp_faces_to_raster(
     textures: list[np.ndarray],
     pose: Pose,
     grid: np.ndarray,
-    background: float,
     channels: int,
 ) -> np.ndarray:
-    """Inverse-warp face textures onto a raster described by its ray grid.
+    """Inverse-warp face textures onto a black raster described by its ray grid.
 
-    ``textures[i]`` is an (th, tw) or (th, tw, channels) array aligned with
-    face ``faces[face_indices[i]]``'s texture frame.
+    ``textures[i]`` is a (th, tw, 1) or (th, tw, channels) array aligned with
+    face ``faces[face_indices[i]]``'s texture frame; one channel fills all.
     """
     h, w = grid.shape[:2]
-    canvas = np.full((h, w, channels), background)
+    canvas = np.zeros((h, w, channels))
     for idx, tex in zip(face_indices, textures):
         face = faces[idx]
         m = np.linalg.inv(face_ray_homography(pose, face))
@@ -160,12 +155,7 @@ def _warp_faces_to_raster(
         if not mask.any():
             continue
         tx, ty = face.texture_px(fu[mask], fv[mask])
-        if tex.ndim == 2:
-            tex = tex[:, :, None]
-        samples = bilinear_sample_multi(tex, tx, ty)
-        if samples.shape[-1] == 1 and channels == 3:
-            samples = np.repeat(samples, 3, axis=-1)
-        canvas[mask] = samples
+        canvas[mask] = bilinear_sample_multi(tex, tx, ty)
     return canvas
 
 
@@ -195,8 +185,7 @@ def render_capture(
     ss = CAPTURE_SUPERSAMPLE
     grid = _undistorted_grid(intr, w, h, supersample=ss)
     canvas = _warp_faces_to_raster(
-        faces, vis, [faces[i].albedo.plane() for i in vis],
-        scene_pose, grid, 0.0, 1,
+        faces, vis, [faces[i].albedo.data for i in vis], scene_pose, grid, 1,
     )
     # Pixel integration: box-average the subsamples inside each pixel.
     canvas = canvas.reshape(h, ss, w, ss, 1).mean(axis=(1, 3))
@@ -231,7 +220,7 @@ def render_device_image(
     vis = [i for i in visible_faces(target, pose) if i in textures]
     grid = _undistorted_grid(intr, w, h)
     canvas = _warp_faces_to_raster(
-        faces, vis, [textures[i].data for i in vis], pose, grid, 0.0, 3,
+        faces, vis, [textures[i].data for i in vis], pose, grid, 3,
     )
     return Image.from_array(canvas)
 
@@ -285,10 +274,7 @@ def render_projection_on_surface(
             & (px[:, 1] >= 0.0) & (px[:, 1] <= device_img.height - 1.0)
         )
         if inside.any():
-            samples = bilinear_sample_multi(device_img.data, px[inside, 0], px[inside, 1])
-            if samples.shape[-1] == 1:
-                samples = np.repeat(samples, 3, axis=-1)
-            irr[inside] = samples
+            irr[inside] = bilinear_sample_multi(device_img.data, px[inside, 0], px[inside, 1])
         img = Image.from_array(irr.reshape(th, tw, 3))
         r_tex = r_dev * _face_mm_per_device_px(face, scene_pose, intr) * face.ppm
         out[idx] = convolve(img, make_disk_psf(r_tex))
@@ -302,20 +288,17 @@ def render_external(
     irradiance: dict[int, Image] | None,
     ambient: float,
 ) -> Image:
-    """Composite albedo under ambient light with projected irradiance."""
+    """Albedo under ambient light plus projected irradiance, seen by ``ext``."""
     pose_ext = ext.device_pose.compose(scene_pose)
     faces = target.faces()
-    vis = visible_faces(target, pose_ext)
-    grid = _undistorted_grid(ext.intrinsics, ext.width, ext.height)
-    textures = []
-    for idx in vis:
-        albedo = faces[idx].albedo.data * ambient
-        composite = np.repeat(albedo, 3, axis=2)
+    textures = {}
+    for idx in visible_faces(target, pose_ext):
+        composite = faces[idx].albedo.data * ambient
         if irradiance and idx in irradiance:
             composite = composite + irradiance[idx].data
-        textures.append(np.clip(composite, 0.0, 1.0))
-    canvas = _warp_faces_to_raster(faces, vis, textures, pose_ext, grid, 0.0, 3)
-    return Image.from_array(canvas)
+        textures[idx] = Image.from_array(composite)
+    return render_device_image(target, pose_ext, ext.intrinsics, textures,
+                               (ext.width, ext.height))
 
 
 # --- metrics ------------------------------------------------------------------

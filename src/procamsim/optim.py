@@ -41,7 +41,7 @@ def numeric_jacobian(residual_fn, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
     return jac
 
 
-def levenberg_marquardt(residual_fn, x0, max_iter: int = MAX_ITER) -> LmResult:
+def levenberg_marquardt(residual_fn, x0) -> LmResult:
     """Minimize the sum of squared residuals of ``residual_fn(x)``."""
     x = np.asarray(x0, dtype=float).copy()
     r = residual_fn(x)
@@ -51,7 +51,7 @@ def levenberg_marquardt(residual_fn, x0, max_iter: int = MAX_ITER) -> LmResult:
     history = [cost]
     lam = LAMBDA_INIT
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         jac = numeric_jacobian(residual_fn, x, r)
         jtj = jac.T @ jac
         g = jac.T @ r
@@ -91,4 +91,4 @@ def levenberg_marquardt(residual_fn, x0, max_iter: int = MAX_ITER) -> LmResult:
         if rel_decrease < COST_TOL or float(np.linalg.norm(delta)) < STEP_TOL:
             return LmResult(x, cost, iteration, history)
 
-    return LmResult(x, cost, max_iter, history)
+    return LmResult(x, cost, MAX_ITER, history)

@@ -45,6 +45,7 @@ from .scene import (
     FiducialBoard,
     PrismTarget,
     Trajectory,
+    WORKING_RANGE_MM,
     ZONE_RGB,
     sample_trajectory,
     visible_faces,
@@ -67,7 +68,6 @@ class ControllerState:
     drive_current: float
     active_intrinsics: Intrinsics
     filtered_distance: float | None
-    frame_index: int
     power_clamped: bool = False
 
     @staticmethod
@@ -76,7 +76,7 @@ class ControllerState:
         # intrinsics for the power that current actually commands.
         power = power_for_current(etl, 0.0)
         intr, _ = interpolate(profile, power)
-        return ControllerState(0.0, intr, None, 0)
+        return ControllerState(0.0, intr, None)
 
 
 def autofocus_step(
@@ -86,20 +86,16 @@ def autofocus_step(
     target,
     etl: EtlModel,
     detections=None,
-    fixed_intrinsics: Intrinsics | None = None,
     ema_alpha: float = EMA_ALPHA,
 ) -> tuple[ControllerState, Pose]:
     """One control step: detect, estimate pose, filter distance, refocus.
 
     ``detections`` short-circuits the image detector (oracle mode).
-    ``fixed_intrinsics`` pins the pose-estimation intrinsics while the focus
-    current still follows the (then biased) distance estimate.
     """
     if detections is None:
         detections = detect_markers(captured)
-    active = fixed_intrinsics if fixed_intrinsics is not None else state.active_intrinsics
     try:
-        pose, _rms = estimate_pose(target, detections, active)
+        pose, _rms = estimate_pose(target, detections, state.active_intrinsics)
     except NoKnownMarkers as exc:
         raise TargetLost(str(exc)) from exc
     distance = estimate_target_distance(pose)
@@ -109,15 +105,11 @@ def autofocus_step(
         filtered = ema_alpha * distance + (1.0 - ema_alpha) * state.filtered_distance
     power, clamped = power_for_focus(etl, filtered)
     current = current_for_power(etl, power)
-    if fixed_intrinsics is not None:
-        new_intr = fixed_intrinsics
-    else:
-        new_intr, _ = interpolate(profile, power)
+    new_intr, _ = interpolate(profile, power)
     new_state = ControllerState(
         drive_current=current,
         active_intrinsics=new_intr,
         filtered_distance=filtered,
-        frame_index=state.frame_index + 1,
         power_clamped=clamped,
     )
     return new_state, pose
@@ -136,7 +128,6 @@ def recovery_state(state: ControllerState, profile: IntrinsicProfile,
         state,
         drive_current=current_for_power(etl, entry.power_d),
         active_intrinsics=entry.intrinsics,
-        frame_index=state.frame_index + 1,
     )
 
 
@@ -193,8 +184,7 @@ class Rig:
             return oracle_detect(target, pose_true, intr_true, blur, self.noise, frame_seed), None
         raise ValueError(f"unknown detector mode {self.detector!r}")
 
-    def step(self, state: ControllerState, target, detections, attempt: int,
-             fixed_intrinsics: Intrinsics | None = None):
+    def step(self, state: ControllerState, target, detections, attempt: int):
         """One control step; a lost target falls back to focus-sweep recovery.
 
         ``attempt`` counts the losses before this frame. Returns
@@ -203,7 +193,7 @@ class Rig:
         try:
             return autofocus_step(
                 state, None, self.profile, target, self.etl, detections=detections,
-                fixed_intrinsics=fixed_intrinsics, ema_alpha=self.ema_alpha,
+                ema_alpha=self.ema_alpha,
             )
         except TargetLost:
             return recovery_state(state, self.profile, self.etl, attempt), None
@@ -338,7 +328,7 @@ def _board_pose(z_mm: float, tilt_deg: float) -> Pose:
     return Pose(rot, np.array([0.0, 0.0, z_mm]))
 
 
-def run_station(setup: EvalSetup, z_mm: float, fixed_intr: Intrinsics | None):
+def run_station(setup: EvalSetup, z_mm: float):
     """Settle the loop at one station; returns (state, pose_est, lost_count)."""
     target = setup.board
     pose_true = _board_pose(z_mm, setup.tilt_deg)
@@ -351,7 +341,7 @@ def run_station(setup: EvalSetup, z_mm: float, fixed_intr: Intrinsics | None):
         frame_seed = (setup.seed * 1_000_003 + int(z_mm) * 977 + steps) & 0x7FFFFFFF
         power = power_for_current(setup.etl, state.drive_current)
         detections, _ = setup.detect(target, pose_true, power, frame_seed)
-        state, pose = setup.step(state, target, detections, lost, fixed_intr)
+        state, pose = setup.step(state, target, detections, lost)
         if pose is None:
             lost += 1
         else:
@@ -380,14 +370,16 @@ def measure_station_misalignment(setup, z_mm, state, pose_est):
     for dot in board.reference_dots:
         x0, y0 = face.texture_px(dot[0] - window_mm, dot[1] - window_mm)
         x1, y1 = face.texture_px(dot[0] + window_mm, dot[1] + window_mm)
-        patch = irr[int(round(y0)):int(round(y1)) + 1, int(round(x0)):int(round(x1)) + 1]
+        # A window reaching past the texture edge is cut there, not wrapped.
+        row0, col0 = max(int(round(y0)), 0), max(int(round(x0)), 0)
+        patch = irr[row0:int(round(y1)) + 1, col0:int(round(x1)) + 1]
         if patch.size == 0 or patch.max() < 0.05:
             errors.append(math.inf)
             continue
         weights = np.clip(patch - 0.05, 0.0, None)
         ys, xs = np.mgrid[0:patch.shape[0], 0:patch.shape[1]]
-        cx = (weights * xs).sum() / weights.sum() + int(round(x0))
-        cy = (weights * ys).sum() / weights.sum() + int(round(y0))
+        cx = (weights * xs).sum() / weights.sum() + col0
+        cy = (weights * ys).sum() / weights.sum() + row0
         u, v = face.mm_at(cx, cy)
         errors.append(float(np.hypot(u - dot[0], v - dot[1])))
     return errors
@@ -400,18 +392,19 @@ def run_alignment_eval(
 ) -> list[EvalRow]:
     """Misalignment sweep over the stations, adaptive or pinned intrinsics.
 
-    In fixed mode the pose estimate (and hence the focus current) uses the
-    entry calibrated for ``fixed_at_mm``, reproducing the full failure chain.
+    Fixed mode runs the same loop on a profile pinned to the intrinsics for
+    ``fixed_at_mm``, reproducing the full failure chain.
     """
     if mode not in ("adaptive", "fixed"):
         raise ValueError(f"unknown eval mode {mode!r}")
-    fixed_intr = None
     if mode == "fixed":
         pinned_power, _ = power_for_focus(setup.etl, fixed_at_mm)
-        fixed_intr, _ = interpolate(setup.profile, pinned_power)
+        pinned, _ = interpolate(setup.profile, pinned_power)
+        entries = tuple(replace(e, intrinsics=pinned) for e in setup.profile.entries)
+        setup = replace(setup, profile=replace(setup.profile, entries=entries))
     rows = []
     for z in setup.stations:
-        state, pose_est, lost = run_station(setup, z, fixed_intr)
+        state, pose_est, lost = run_station(setup, z)
         errors = measure_station_misalignment(setup, z, state, pose_est)
         finite = [e for e in errors if math.isfinite(e)]
         power = power_for_current(setup.etl, state.drive_current)
@@ -494,7 +487,7 @@ def run_dpm(setup: DpmSetup, trajectory: Trajectory, out_dir=None):
 
         est_z = state.filtered_distance if state.filtered_distance is not None else setup.etl.z0
         power_new = power_for_current(setup.etl, state.drive_current)
-        zone = "none" if lost else zone_color(min(max(est_z, 70.0), 250.0))
+        zone = "none" if lost else zone_color(float(np.clip(est_z, *WORKING_RANGE_MM)))
         blur_ir = blur_radius(setup.etl, true_z, power, optics.IR)
         blur_vis = blur_radius(setup.etl, true_z, power_new, optics.VISIBLE)
 

@@ -27,6 +27,9 @@ from .errors import (
 from .geometry import Pose, axis_angle_from_rotation, rotation_from_axis_angle
 from .image import Image
 
+# The working range: device-to-target distances, in mm, that stations and zones cover.
+WORKING_RANGE_MM = (70.0, 250.0)
+
 ZONE_BLUE = "blue"
 ZONE_GREEN = "green"
 ZONE_YELLOW = "yellow"
@@ -55,7 +58,7 @@ _ANCHOR_VALUES = [1, 0, 0, 0]
 ALBEDO_WHITE = 0.85
 ALBEDO_BLACK = 0.05
 # Texel pitch of 0.25 mm keeps the antialiased print edge about one device
-# pixel wide over the 70..250 mm working range, which the renderer's pixel
+# pixel wide over the whole working range, which the renderer's pixel
 # integration relies on.
 DEFAULT_TEXTURE_PPM = 4.0
 
@@ -376,9 +379,10 @@ def visible_faces(target, pose: Pose) -> list[int]:
 
 
 def zone_color(distance_mm: float) -> str:
-    """Distance-dependent body color over the 70..250 mm working range."""
-    if not (70.0 <= distance_mm <= 250.0):
-        raise DistanceOutOfRange(f"distance {distance_mm:.4g} mm outside [70, 250]")
+    """Distance-dependent body color over the working range."""
+    lo, hi = WORKING_RANGE_MM
+    if not (lo <= distance_mm <= hi):
+        raise DistanceOutOfRange(f"distance {distance_mm:.4g} mm outside [{lo:g}, {hi:g}]")
     if distance_mm < 130.0:
         return ZONE_BLUE
     if distance_mm < 190.0:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from . import imaging
 from .errors import (
     DegenerateConfiguration,
     InsufficientPoints,
@@ -28,7 +29,6 @@ from .geometry import (
     undistort_many,
 )
 from .image import Image
-from .imaging import bilinear_sample
 from .optim import levenberg_marquardt
 from .scene import (
     FiducialBoard,
@@ -207,7 +207,7 @@ def _sample_cells(plane: np.ndarray, h_cells_to_img: np.ndarray) -> np.ndarray:
     ones = np.ones((len(pts), 1))
     mapped = np.hstack([pts, ones]) @ h_cells_to_img.T
     xy = mapped[:, :2] / mapped[:, 2:3]
-    vals = bilinear_sample(plane, xy[:, 0], xy[:, 1])
+    vals = imaging.bilinear_sample_multi(plane[:, :, None], xy[:, 0], xy[:, 1])[..., 0]
     return vals.reshape(MARKER_CELLS, MARKER_CELLS, len(_CELL_SUBSAMPLES)).mean(axis=2)
 
 
@@ -222,7 +222,7 @@ def _side_edge_points(plane, a, b, normal, half_px):
     ts = np.linspace(0.2, 0.8, EDGE_SAMPLES_PER_SIDE)
     bases = a[None, :] + ts[:, None] * (b - a)[None, :]
     pts = bases[:, None, :] + offsets[None, :, None] * normal[None, None, :]
-    vals = bilinear_sample(plane, pts[..., 0], pts[..., 1])
+    vals = imaging.bilinear_sample_multi(plane[:, :, None], pts[..., 0], pts[..., 1])[..., 0]
     edge_points = []
     for base, row in zip(bases, vals):
         bright = row[:3].max()

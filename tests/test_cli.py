@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from procamsim import imaging
 from procamsim.calibration import load_profile
 from procamsim.cli import main
 from procamsim.config import default_config_document, load_config
@@ -128,6 +129,28 @@ def test_cmd_calibrate_is_reproducible(workspace):
     assert main(["calibrate", "--config", str(config), "--out", str(first)]) == 0
     assert main(["calibrate", "--config", str(config), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+class _StopSweep(Exception):
+    pass
+
+
+def test_cmd_calibrate_renders_with_the_configured_sensor_sigma(workspace, monkeypatch):
+    tmp, config, _ = workspace
+    doc = json.loads(config.read_text())
+    doc["detector"] = "image"
+    doc["noise"]["sensor_sigma"] = 0.05
+    config.write_text(json.dumps(doc))
+    seen = []
+
+    def first_view(*args, **kwargs):
+        seen.append(kwargs.get("noise_sigma"))
+        raise _StopSweep
+
+    monkeypatch.setattr(imaging, "render_capture", first_view)
+    with pytest.raises(_StopSweep):
+        main(["calibrate", "--config", str(config), "--out", str(tmp / "p.json")])
+    assert seen == [0.05]
 
 
 def test_cmd_calibrate_single_station_exits_3(workspace, capsys):

@@ -154,6 +154,34 @@ def test_projection_chromatic_blur_composes(eval_board, base_intr):
     assert np.max(np.abs(full[0].data - composed.data)) < 1e-5
 
 
+def test_projection_of_one_channel_device_image_fills_three_channels(eval_board, etl,
+                                                                     base_intr):
+    rng = np.random.default_rng(8)
+    gray = Image.from_array(rng.uniform(0.0, 1.0, size=(512, 512, 1)))
+    color = Image.from_array(np.repeat(gray.data, 3, axis=2))
+    pose = frontal_pose(150.0)
+    from_gray = render_projection_on_surface(gray, eval_board, pose, etl, base_intr, 0.0)
+    from_color = render_projection_on_surface(color, eval_board, pose, etl, base_intr, 0.0)
+    assert from_gray.keys() == from_color.keys()
+    for idx, img in from_gray.items():
+        assert img.channels == 3
+        assert np.array_equal(img.data, from_color[idx].data)
+        assert (img.data == img.data[..., :1]).all()
+
+
+def test_external_unlit_face_renders_like_a_three_channel_texture(eval_board):
+    # Without irradiance the face texture has one channel; it has to fill all
+    # three channels exactly as a black three-channel irradiance would.
+    ext = default_external_camera()
+    pose = frontal_pose(160.0)
+    face = eval_board.faces()[0]
+    black = {0: Image.full(face.albedo.width, face.albedo.height, 0.0, 3)}
+    unlit = render_external(ext, eval_board, pose, None, ambient=0.6)
+    lit_black = render_external(ext, eval_board, pose, black, ambient=0.6)
+    assert unlit.channels == 3
+    assert unlit.data.tobytes() == lit_black.data.tobytes()
+
+
 def test_external_pure_albedo_view(eval_board, etl, base_intr):
     ext = default_external_camera()
     pose = frontal_pose(160.0)

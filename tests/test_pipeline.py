@@ -1,9 +1,12 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from procamsim import pipeline
+from procamsim.calibration import interpolate
 from procamsim.errors import TargetLost
 from procamsim.geometry import Pose, project
 from procamsim.image import Image
@@ -18,17 +21,19 @@ from procamsim.optics import (
 from procamsim.pipeline import (
     ControllerState,
     DpmSetup,
+    EvalSetup,
     FrameRecord,
     autofocus_step,
     dot_projection_texture,
     projection_textures,
     read_metrics,
     recovery_state,
+    run_alignment_eval,
     run_dpm,
     write_metrics,
     zone_transitions,
 )
-from procamsim.scene import Trajectory
+from procamsim.scene import Trajectory, load_target
 from procamsim.vision import NoiseModel, oracle_detect
 from tests.conftest import frontal_pose
 
@@ -211,6 +216,63 @@ def test_run_dpm_calls_wrappable_module_names(monkeypatch, prism, etl, base_intr
                      detector=detector, seed=1, frames=2)
     run_dpm(setup, _linear_trajectory(150.0, 160.0))
     assert calls == expected
+
+
+def test_perfbench_wrappers_install_and_restore():
+    # perfbench wraps procamsim names from outside; a rename here would stop
+    # the benchmark, so installing every wrapper has to work and be undone.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    with layers.Patch() as patch:
+        layers.install(patch, layers.Tracer())
+        patched = list(patch._saved)
+        assert patched
+        assert all(getattr(m, attr) is not original for m, attr, original in patched)
+    assert all(getattr(m, attr) is original for m, attr, original in patched)
+
+
+def test_fixed_mode_measures_with_pinned_intrinsics_after_a_lost_last_frame(
+    monkeypatch, eval_board, etl, base_intr, clean_profile
+):
+    setup = EvalSetup(board=eval_board, etl=etl, base_intrinsics=base_intr,
+                      profile=clean_profile, device_wh=(512, 512), stations=[150.0],
+                      detector="oracle", seed=2)
+    calls = []
+    detect = pipeline.oracle_detect
+
+    def lose_last_settle_frame(*args, **kwargs):
+        calls.append(None)
+        return [] if len(calls) == setup.settle_steps else detect(*args, **kwargs)
+
+    rendered_with = []
+    render = pipeline.render_device_image
+
+    def record_intrinsics(target, pose, intr, *args):
+        rendered_with.append(intr)
+        return render(target, pose, intr, *args)
+
+    monkeypatch.setattr(pipeline, "oracle_detect", lose_last_settle_frame)
+    monkeypatch.setattr(pipeline, "render_device_image", record_intrinsics)
+    [row] = run_alignment_eval(setup, "fixed", fixed_at_mm=150.0)
+    pinned, _ = interpolate(clean_profile, power_for_focus(etl, 150.0)[0])
+    assert row.frames_lost == 1
+    assert rendered_with == [pinned]
+    assert math.isfinite(row.mean_mm)
+
+
+@pytest.mark.parametrize("dot", [[-21.0, 0.0], [0.0, -21.0]])
+def test_eval_dot_window_is_cut_at_the_texture_edge(etl, base_intr, clean_profile, dot):
+    # The dot's 6 mm window reaches 2 mm past the left or top edge of the 50 mm board.
+    board = load_target({"type": "board", "extent_mm": [50.0, 50.0],
+                         "markers": [{"id": 0, "center_mm": [0.0, 0.0]}],
+                         "reference_dots": [dot]})
+    setup = EvalSetup(board=board, etl=etl, base_intrinsics=base_intr,
+                      profile=clean_profile, device_wh=(512, 512), stations=[150.0],
+                      detector="oracle", seed=2)
+    [row] = run_alignment_eval(setup, "adaptive")
+    assert row.mean_mm < 0.1
 
 
 def test_coaxial_zero_drift_across_distances(eval_board, base_intr):
