@@ -151,12 +151,14 @@ def refine_lm(
         [[init_intr.fx, init_intr.fy, init_intr.cx, init_intr.cy, init_intr.k1, init_intr.k2]]
         + [pose.vector() for pose in init_poses]
     )
-    result = levenberg_marquardt(_reprojection_residuals(views), x0)
+    # View i's residual rows depend only on the intrinsics and its own pose.
+    ends = 2 * np.cumsum([v.object_points.shape[0] for v in views])
+    rows = [slice(start, end) for start, end in zip([0, *ends[:-1]], ends)]
+    result = levenberg_marquardt(_reprojection_residuals(views), x0, blocks=(6, 6, rows))
     x = result.x
     intr = Intrinsics(fx=x[0], fy=x[1], cx=x[2], cy=x[3], k1=x[4], k2=x[5])
     poses = [Pose.from_vector(x[6 + 6 * i: 12 + 6 * i]) for i in range(len(views))]
-    n_residuals = 2 * sum(v.object_points.shape[0] for v in views)
-    rms = math.sqrt(result.cost / n_residuals)
+    rms = math.sqrt(result.cost / ends[-1])
     return intr, poses, rms
 
 

@@ -3,9 +3,11 @@
 Capture and projection share one pinhole model (single image plane), so the
 device-to-face map used to render a capture is, by construction, the exact
 inverse of the face-to-device map used to project. The external view is a
-device-image render of the lit faces through the external camera. All warps
-run on the full pixel grid with bilinear sampling; defocus is a uniform
-per-frame disk blur evaluated at the target origin's distance.
+device-image render of the lit faces through the external camera. Warps
+sample bilinearly. The capture warps each face only inside a window that
+bounds its distorted outline, which gives the same bytes as the full grid;
+the device image and the external view run on the full pixel grid. Defocus
+is a uniform per-frame disk blur evaluated at the target origin's distance.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .scene import SceneFace, visible_faces
 AMBIENT_FLOOR = 0.02
 DEFAULT_SENSOR_SIGMA = 0.003
 CAPTURE_SUPERSAMPLE = 2
+EDGE_SAMPLES = 64  # per face edge, for the capture's warp window
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,13 @@ def _undistorted_grid(
     With ``supersample`` = n the raster is sampled n times per pixel per
     axis, centered inside each pixel footprint, for later box averaging.
 
-    The last grid is kept and returned read-only: the calibration sweep
-    renders every view of a focus station with the same intrinsics, so one
-    entry saves all but one inversion per station. The old entry is dropped
-    before a new grid is built, so the cache never holds two grids at once.
-    A dpm frame asks for three different grids and never hits.
+    The last undistorted grid is kept, and every grid is returned read-only:
+    the calibration sweep renders every view of a focus station with the
+    same intrinsics, so one entry saves all but one inversion per station.
+    The old entry is dropped before a new grid is built, so the cache never
+    holds two grids at once. A pinhole grid is a plain meshgrid, cheap to
+    rebuild, and is not kept. A dpm frame asks for three different grids and
+    never hits.
     """
     key = (intr, width, height, supersample)
     grid = _last_grid.get(key)
@@ -92,8 +97,8 @@ def _undistorted_grid(
     grid = np.stack([gu, gv], axis=-1)
     if intr.k1 != 0.0 or intr.k2 != 0.0:
         grid = undistort_many(intr, grid, iterations=12)
+        _last_grid[key] = grid
     grid.flags.writeable = False
-    _last_grid[key] = grid
     return grid
 
 
@@ -121,6 +126,33 @@ def bilinear_sample_multi(tex: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
     return top * (1.0 - fy) + bottom * fy
 
 
+def _warp_face(canvas: np.ndarray, face: SceneFace, tex: np.ndarray, pose: Pose,
+               grid: np.ndarray) -> None:
+    """Inverse-warp one face texture into ``canvas``, which ``grid`` describes.
+
+    Every sample is computed on its own, so warping a window of the grid into
+    the same window of the canvas gives the same bytes as the full grid.
+    """
+    m = np.linalg.inv(face_ray_homography(pose, face))
+    a = m[0, 0] * grid[..., 0] + m[0, 1] * grid[..., 1] + m[0, 2]
+    b = m[1, 0] * grid[..., 0] + m[1, 1] * grid[..., 1] + m[1, 2]
+    c = m[2, 0] * grid[..., 0] + m[2, 1] * grid[..., 1] + m[2, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fu = np.where(np.abs(c) > 1e-12, a / c, np.inf)
+        fv = np.where(np.abs(c) > 1e-12, b / c, np.inf)
+    # Exact inverse pins the scale: the hit point's camera depth is 1/c,
+    # so c > 0 selects plane points in front of the camera.
+    mask = (
+        (c > 1e-12)
+        & (np.abs(fu) <= face.width_mm / 2.0)
+        & (np.abs(fv) <= face.height_mm / 2.0)
+    )
+    if not mask.any():
+        return
+    tx, ty = face.texture_px(fu[mask], fv[mask])
+    canvas[mask] = bilinear_sample_multi(tex, tx, ty)
+
+
 def _warp_faces_to_raster(
     faces: list[SceneFace],
     face_indices: list[int],
@@ -137,26 +169,43 @@ def _warp_faces_to_raster(
     h, w = grid.shape[:2]
     canvas = np.zeros((h, w, channels))
     for idx, tex in zip(face_indices, textures):
-        face = faces[idx]
-        m = np.linalg.inv(face_ray_homography(pose, face))
-        a = m[0, 0] * grid[..., 0] + m[0, 1] * grid[..., 1] + m[0, 2]
-        b = m[1, 0] * grid[..., 0] + m[1, 1] * grid[..., 1] + m[1, 2]
-        c = m[2, 0] * grid[..., 0] + m[2, 1] * grid[..., 1] + m[2, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fu = np.where(np.abs(c) > 1e-12, a / c, np.inf)
-            fv = np.where(np.abs(c) > 1e-12, b / c, np.inf)
-        # Exact inverse pins the scale: the hit point's camera depth is 1/c,
-        # so c > 0 selects plane points in front of the camera.
-        mask = (
-            (c > 1e-12)
-            & (np.abs(fu) <= face.width_mm / 2.0)
-            & (np.abs(fv) <= face.height_mm / 2.0)
-        )
-        if not mask.any():
-            continue
-        tx, ty = face.texture_px(fu[mask], fv[mask])
-        canvas[mask] = bilinear_sample_multi(tex, tx, ty)
+        _warp_face(canvas, faces[idx], tex, pose, grid)
     return canvas
+
+
+def _face_window(face: SceneFace, pose: Pose, intr: Intrinsics, width: int, height: int,
+                 supersample: int) -> tuple[slice, slice]:
+    """Rows and columns of the supersampled raster that can see ``face``.
+
+    The box bounds the face's edges, densely sampled and projected with
+    distortion (which bends them), plus a 2-pixel margin, clipped to the
+    raster. It holds every sample whose ray hits the face as long as the
+    radial model is one-to-one out to the face's farthest corner, so a face
+    reaching that far, or to or behind the lens, gets the whole raster.
+    """
+    full = slice(0, height * supersample), slice(0, width * supersample)
+    t = np.linspace(-0.5, 0.5, EDGE_SAMPLES)
+    ones = np.ones(EDGE_SAMPLES)
+    u = np.concatenate([t, t, -0.5 * ones, 0.5 * ones]) * face.width_mm
+    v = np.concatenate([-0.5 * ones, 0.5 * ones, t, t]) * face.height_mm
+    points = face.point_at(u, v)
+    px, valid = project_many(intr, pose, points)
+    if not valid.all():
+        return full
+    # d/dr [r (1 + k1 r^2 + k2 r^4)] = 1 + 3 k1 s + 5 k2 s^2 with s = r^2; a
+    # convex face's largest s is at a corner, and the slope's minimum over
+    # [0, s_max] at s_max or, for k2 > 0, at the parabola's vertex.
+    xc = pose.transform(points)
+    s_max = float(np.max((xc[:, 0] ** 2 + xc[:, 1] ** 2) / xc[:, 2] ** 2))
+    s = min(max(-0.3 * intr.k1 / intr.k2, 0.0), s_max) if intr.k2 > 0 else s_max
+    if 1.0 + 3.0 * intr.k1 * s + 5.0 * intr.k2 * s * s <= 0.0:
+        return full
+    # Pixel p is sample (p + 0.5) * supersample - 0.5.
+    lo = np.floor((px.min(axis=0) + 0.5) * supersample - 0.5).astype(int) - 2 * supersample
+    hi = np.ceil((px.max(axis=0) + 0.5) * supersample - 0.5).astype(int) + 2 * supersample + 1
+    x0, y0 = np.maximum(lo, 0)
+    x1, y1 = np.minimum(hi, [width * supersample, height * supersample])
+    return slice(y0, max(y0, y1)), slice(x0, max(x0, x1))
 
 
 def render_capture(
@@ -184,9 +233,13 @@ def render_capture(
         raise NoVisibleSurface("no face oriented toward the device")
     ss = CAPTURE_SUPERSAMPLE
     grid = _undistorted_grid(intr, w, h, supersample=ss)
-    canvas = _warp_faces_to_raster(
-        faces, vis, [faces[i].albedo.data for i in vis], scene_pose, grid, 1,
-    )
+    # Warp each face only inside its window; faces keep their order, so
+    # overlaps resolve as on the full grid.
+    canvas = np.zeros((h * ss, w * ss, 1))
+    for i in vis:
+        rows, cols = _face_window(faces[i], scene_pose, intr, w, h, ss)
+        _warp_face(canvas[rows, cols], faces[i], faces[i].albedo.data, scene_pose,
+                   grid[rows, cols])
     # Pixel integration: box-average the subsamples inside each pixel.
     canvas = canvas.reshape(h, ss, w, ss, 1).mean(axis=(1, 3))
     canvas = canvas + AMBIENT_FLOOR

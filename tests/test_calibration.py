@@ -1,9 +1,11 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from procamsim import calibration, imaging, vision
+from procamsim import calibration, imaging, optim, vision
 from procamsim.calibration import (
     CalibView,
     IntrinsicProfile,
@@ -139,6 +141,78 @@ def test_refine_lm_already_optimal_is_stable():
     intr1, poses1, rms1 = refine_lm(views, truth, poses)
     intr2, _, rms2 = refine_lm(views, intr1, poses1)
     assert rms2 <= rms1 + 1e-12
+
+
+def _station_start(seed=5):
+    """Eight noisy views of one station and the closed-form starting point."""
+    truth = Intrinsics(600.0, 600.0, 256.0, 256.0, k1=-0.05, k2=0.01)
+    views = _synthetic_views(truth, station_poses(150.0), noise_sigma=0.1, seed=seed)
+    homs = [homography_dlt(v.object_points, v.image_points) for v in views]
+    init = zhang_closed_form(homs)
+    return views, init, [extrinsics_from_homography(init, h) for h in homs]
+
+
+def _record_lm_calls(monkeypatch) -> list:
+    calls = []
+    lm = calibration.levenberg_marquardt
+
+    def recorded(fn, x0, **kwargs):
+        calls.append((fn, x0, kwargs))
+        return lm(fn, x0, **kwargs)
+
+    monkeypatch.setattr(calibration, "levenberg_marquardt", recorded)
+    return calls
+
+
+def test_block_jacobian_equals_dense_at_start_and_after_five_iterations(monkeypatch):
+    calls = _record_lm_calls(monkeypatch)
+    refine_lm(*_station_start())
+    (fn, x0, kwargs), = calls
+    blocks = kwargs["blocks"]
+    assert blocks[:2] == (6, 6) and len(blocks[2]) == 8
+    monkeypatch.setattr(optim, "MAX_ITER", 5)
+    x5 = optim.levenberg_marquardt(fn, x0).x
+    assert not np.array_equal(x5, x0)
+    for x in (x0, x5):
+        r = fn(x)
+        assert np.array_equal(optim.numeric_jacobian(fn, x, r, blocks),
+                              optim.numeric_jacobian(fn, x, r))
+
+
+def test_refine_lm_is_bit_identical_with_and_without_blocks(monkeypatch):
+    start = _station_start()
+    intr, poses, rms = refine_lm(*start)
+    lm = calibration.levenberg_marquardt
+    monkeypatch.setattr(calibration, "levenberg_marquardt", lambda fn, x0, **_: lm(fn, x0))
+    dense_intr, dense_poses, dense_rms = refine_lm(*start)
+    assert intr == dense_intr
+    assert rms == dense_rms
+    for a, b in zip(poses, dense_poses):
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
+
+
+def test_refine_lm_blocks_survive_the_benchmark_lm_wrapper():
+    # perfbench swaps the residual function for a counting proxy and passes
+    # keyword arguments through, so the block structure must be a keyword.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    start = _station_start()
+    untraced = refine_lm(*start)
+    tracer = layers.Tracer()
+    with layers.Patch() as patch:
+        layers.install(patch, tracer)
+        traced = refine_lm(*start)
+    assert traced[0] == untraced[0] and traced[2] == untraced[2]
+    assert all(np.array_equal(a.vector(), b.vector()) for a, b in zip(traced[1], untraced[1]))
+    # One initial evaluation, 6 + 6 per Jacobian, at least one trial step per
+    # iteration; dense Jacobians alone would take 54 per iteration.
+    iterations = tracer.counts["lm.calib.iterations"]
+    evals = tracer.counts["lm.calib.residual_evals"]
+    assert iterations > 0
+    assert 1 + 13 * iterations <= evals < 1 + 54 * iterations
 
 
 def test_calibrate_end_to_end_noiseless():

@@ -1,11 +1,12 @@
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from procamsim import imaging
-from procamsim.calibration import sweep_calibrate
+from procamsim.calibration import _station_lateral_amp, station_poses, sweep_calibrate
 from procamsim.errors import DimensionMismatch, EmptyRegion, IoError, NoVisibleSurface
 from procamsim.geometry import (
     Homography,
@@ -29,7 +30,13 @@ from procamsim.imaging import (
     write_image,
 )
 from procamsim.optics import EtlModel, convolve, intrinsics_at_power, make_disk_psf, power_for_focus
-from procamsim.scene import SceneFace, marker_corners_3d
+from procamsim.scene import (
+    SceneFace,
+    load_trajectory,
+    marker_corners_3d,
+    sample_trajectory,
+    visible_faces,
+)
 from tests.conftest import DEVICE_WH, frontal_pose
 
 
@@ -319,6 +326,14 @@ def test_cached_ray_grid_is_read_only(base_intr):
         grid[0, 0, 0] = 0.0
 
 
+def test_pinhole_ray_grid_is_not_kept(base_intr):
+    imaging._undistorted_grid(replace(base_intr, k1=-0.0506), 64, 48)
+    assert len(imaging._last_grid) == 1
+    pinhole = imaging._undistorted_grid(replace(base_intr, k1=0.0, k2=0.0), 64, 48)
+    assert not imaging._last_grid
+    assert not pinhole.flags.writeable
+
+
 def test_image_sweep_builds_one_ray_grid_per_station(monkeypatch, calib_board, etl,
                                                      base_intr):
     calls = _count_grid_builds(monkeypatch)
@@ -336,6 +351,94 @@ def test_image_sweep_builds_one_ray_grid_per_station(monkeypatch, calib_board, e
     assert len(profile.entries) == 2
     assert len(renders) == 16
     assert len(calls) == 2
+
+
+def _full_grid_capture(target, pose, etl, base_intr, power):
+    """Sharp, noiseless capture warped on the whole ray grid: the reference."""
+    w, h = DEVICE_WH
+    ss = imaging.CAPTURE_SUPERSAMPLE
+    intr = intrinsics_at_power(etl, base_intr, power)
+    faces = target.faces()
+    vis = visible_faces(target, pose)
+    grid = imaging._undistorted_grid(intr, w, h, supersample=ss)
+    canvas = imaging._warp_faces_to_raster(
+        faces, vis, [faces[i].albedo.data for i in vis], pose, grid, 1)
+    return canvas.reshape(h, ss, w, ss, 1).mean(axis=(1, 3)) + imaging.AMBIENT_FLOOR
+
+
+def _windows(target, pose, etl, base_intr, power):
+    intr = intrinsics_at_power(etl, base_intr, power)
+    return [imaging._face_window(target.faces()[i], pose, intr, *DEVICE_WH,
+                                 imaging.CAPTURE_SUPERSAMPLE)
+            for i in visible_faces(target, pose)]
+
+
+def _assert_capture_matches_full_grid(target, pose, etl, base_intr, power):
+    culled = render_capture(target, pose, etl, base_intr, power, DEVICE_WH,
+                            noise_sigma=0.0, defocus_blur_px=0.0)
+    reference = _full_grid_capture(target, pose, etl, base_intr, power)
+    assert reference.max() > imaging.AMBIENT_FLOOR  # the target is in view
+    assert np.array_equal(culled.data, reference)
+
+
+FULL_RASTER = (slice(0, 2 * DEVICE_WH[1]), slice(0, 2 * DEVICE_WH[0]))
+
+
+@pytest.mark.parametrize("z_mm", [70.0, 250.0])
+def test_capture_window_matches_full_grid_over_a_sweep_station(calib_board, etl, base_intr,
+                                                              z_mm):
+    power, _ = power_for_focus(etl, z_mm)
+    amp = _station_lateral_amp(calib_board, etl, base_intr, DEVICE_WH, z_mm, power)
+    poses = station_poses(z_mm, lateral_amp_mm=amp)
+    for pose in poses:
+        _assert_capture_matches_full_grid(calib_board, pose, etl, base_intr, power)
+    windows = [w for pose in poses for w in _windows(calib_board, pose, etl, base_intr, power)]
+    assert FULL_RASTER not in windows
+
+
+def test_capture_window_matches_full_grid_along_the_prism_trajectory(prism, etl, base_intr):
+    traj = load_trajectory(Path(__file__).resolve().parents[1] / "configs" / "trajectory.json")
+    for t in np.linspace(traj.t_start, traj.t_end, 5):
+        pose = sample_trajectory(traj, t)
+        assert 2 <= len(visible_faces(prism, pose)) <= 3
+        power, _ = power_for_focus(etl, pose.translation[2])
+        _assert_capture_matches_full_grid(prism, pose, etl, base_intr, power)
+
+
+@pytest.mark.parametrize("offset_mm, clipped", [
+    ((70.0, 0.0), "right edge"),
+    ((60.0, 60.0), "lower right corner"),
+])
+def test_capture_window_clipped_at_the_raster_matches_full_grid(calib_board, etl, base_intr,
+                                                                offset_mm, clipped):
+    power, _ = power_for_focus(etl, 150.0)
+    pose = Pose(rotation_from_axis_angle(np.array([0.2, -0.3, 0.1])),
+                np.array([*offset_mm, 150.0]))
+    (rows, cols), = _windows(calib_board, pose, etl, base_intr, power)
+    assert cols.stop == FULL_RASTER[1].stop and cols.start > 0
+    assert (rows.stop == FULL_RASTER[0].stop) == (clipped == "lower right corner")
+    _assert_capture_matches_full_grid(calib_board, pose, etl, base_intr, power)
+
+
+def test_capture_of_a_face_reaching_behind_the_lens_uses_the_full_raster(calib_board, etl,
+                                                                         base_intr):
+    # Turned 75 degrees about y at 20 mm: one edge sits 9 mm behind the lens.
+    power, _ = power_for_focus(etl, 70.0)
+    pose = Pose(rotation_from_axis_angle(np.array([0.0, math.radians(75.0), 0.0])),
+                np.array([0.0, 0.0, 20.0]))
+    assert _windows(calib_board, pose, etl, base_intr, power) == [FULL_RASTER]
+    _assert_capture_matches_full_grid(calib_board, pose, etl, base_intr, power)
+
+
+def test_capture_of_a_face_past_the_distortion_fold_uses_the_full_raster(calib_board, etl,
+                                                                        base_intr):
+    # With k1 = -0.5, r (1 + k1 r^2) turns back at r = 0.82; the board's far
+    # corners reach past it, and their projections fold back inward.
+    lens = replace(base_intr, k1=-0.5, k2=0.0)
+    power, _ = power_for_focus(etl, 70.0)
+    pose = station_poses(70.0, lateral_amp_mm=60.0)[0]
+    assert _windows(calib_board, pose, etl, lens, power) == [FULL_RASTER]
+    _assert_capture_matches_full_grid(calib_board, pose, etl, lens, power)
 
 
 def test_centroid_single_pixel():
