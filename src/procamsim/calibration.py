@@ -32,7 +32,7 @@ from .geometry import (
     homography_dlt,
     rotation_from_axis_angle,
 )
-from .imaging import DEFAULT_SENSOR_SIGMA
+from .imaging import CAPTURE_SUPERSAMPLE, DEFAULT_SENSOR_SIGMA, _undistorted_grid
 from .optim import levenberg_marquardt
 from .optics import EtlModel, current_for_power, intrinsics_at_power, power_for_focus
 from .scene import marker_corners_3d, write_object
@@ -279,6 +279,8 @@ def sweep_calibrate(
         power, _ = power_for_focus(etl, z)
         true_intr = intrinsics_at_power(etl, base_intr, power)
         amp = _station_lateral_amp(board, etl, base_intr, device_wh, z, power)
+        if detector == "image":  # one inversion per station; each view slices it
+            _undistorted_grid(true_intr, *device_wh, CAPTURE_SUPERSAMPLE)
         views = []
         poses = station_poses(z, lateral_amp_mm=amp)
         for view_idx, pose in enumerate(poses):

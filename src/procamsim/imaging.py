@@ -4,10 +4,13 @@ Capture and projection share one pinhole model (single image plane), so the
 device-to-face map used to render a capture is, by construction, the exact
 inverse of the face-to-device map used to project. The external view is a
 device-image render of the lit faces through the external camera. Warps
-sample bilinearly. The capture warps each face only inside a window that
-bounds its distorted outline, which gives the same bytes as the full grid;
-the device image and the external view run on the full pixel grid. Defocus
-is a uniform per-frame disk blur evaluated at the target origin's distance.
+sample bilinearly. The capture inverts the lens and warps each face only
+inside a window that bounds its distorted outline, which gives the same
+bytes as the full grid; the device image and the external view run on the
+full pixel grid. The last ray grid is kept with its window, and the
+calibration sweep asks for one full grid per station, which its views'
+windows slice. Defocus is a uniform per-frame disk blur evaluated at the
+target origin's distance.
 """
 from __future__ import annotations
 
@@ -65,39 +68,50 @@ def default_external_camera() -> ExternalCamera:
 
 # --- warp machinery ----------------------------------------------------------
 
-_last_grid: dict = {}  # at most one entry: (intr, width, height, supersample) -> grid
+_last_grid: dict = {}  # at most one entry: (intr, width, height, supersample) -> (window, grid)
 
 
 def _undistorted_grid(
-    intr: Intrinsics, width: int, height: int, supersample: int = 1
+    intr: Intrinsics, width: int, height: int, supersample: int = 1,
+    window: tuple[slice, slice] | None = None,
 ) -> np.ndarray:
-    """Undistorted normalized coordinates of every (sub)pixel sample.
+    """Undistorted normalized coordinates of the (sub)pixel samples in ``window``.
 
     With ``supersample`` = n the raster is sampled n times per pixel per
     axis, centered inside each pixel footprint, for later box averaging.
+    ``window`` is (rows, columns) of that sample raster, the whole raster
+    when omitted. Undistortion works sample by sample, so a window's grid
+    holds the same bytes as the same slice of the full grid; the capture
+    inverts the lens only inside the windows it warps.
 
-    The last undistorted grid is kept, and every grid is returned read-only:
-    the calibration sweep renders every view of a focus station with the
-    same intrinsics, so one entry saves all but one inversion per station.
-    The old entry is dropped before a new grid is built, so the cache never
-    holds two grids at once. A pinhole grid is a plain meshgrid, cheap to
-    rebuild, and is not kept. A dpm frame asks for three different grids and
-    never hits.
+    The last undistorted grid is kept with its window, and every grid is
+    returned read-only. A request with the same intrinsics and raster whose
+    window lies inside the kept one is a slice of it: the calibration sweep
+    asks for one full grid per focus station, and the windows of the
+    station's views slice it. Any other request drops the entry before its
+    grid is built, so the cache never holds two grids at once. A pinhole
+    grid is a plain meshgrid, cheap to rebuild, and is not kept.
     """
+    rows, cols = window or (slice(None), slice(None))
+    rows = range(*rows.indices(height * supersample))
+    cols = range(*cols.indices(width * supersample))
     key = (intr, width, height, supersample)
-    grid = _last_grid.get(key)
-    if grid is not None:
-        return grid
+    if key in _last_grid:
+        (krows, kcols), grid = _last_grid[key]
+        if krows.start <= rows.start and rows.stop <= krows.stop \
+                and kcols.start <= cols.start and cols.stop <= kcols.stop:
+            return grid[rows.start - krows.start:rows.stop - krows.start,
+                        cols.start - kcols.start:cols.stop - kcols.start]
     _last_grid.clear()
-    xs = (np.arange(width * supersample) + 0.5) / supersample - 0.5
-    ys = (np.arange(height * supersample) + 0.5) / supersample - 0.5
+    xs = (np.arange(cols.start, cols.stop) + 0.5) / supersample - 0.5
+    ys = (np.arange(rows.start, rows.stop) + 0.5) / supersample - 0.5
     u = (xs - intr.cx) / intr.fx
     v = (ys - intr.cy) / intr.fy
     gu, gv = np.meshgrid(u, v)
     grid = np.stack([gu, gv], axis=-1)
     if intr.k1 != 0.0 or intr.k2 != 0.0:
         grid = undistort_many(intr, grid, iterations=12)
-        _last_grid[key] = grid
+        _last_grid[key] = ((rows, cols), grid)
     grid.flags.writeable = False
     return grid
 
@@ -232,14 +246,13 @@ def render_capture(
     if not vis:
         raise NoVisibleSurface("no face oriented toward the device")
     ss = CAPTURE_SUPERSAMPLE
-    grid = _undistorted_grid(intr, w, h, supersample=ss)
-    # Warp each face only inside its window; faces keep their order, so
-    # overlaps resolve as on the full grid.
+    # Undistort and warp each face only inside its window; faces keep their
+    # order, so overlaps resolve as on the full grid.
     canvas = np.zeros((h * ss, w * ss, 1))
     for i in vis:
-        rows, cols = _face_window(faces[i], scene_pose, intr, w, h, ss)
-        _warp_face(canvas[rows, cols], faces[i], faces[i].albedo.data, scene_pose,
-                   grid[rows, cols])
+        window = _face_window(faces[i], scene_pose, intr, w, h, ss)
+        _warp_face(canvas[window], faces[i], faces[i].albedo.data, scene_pose,
+                   _undistorted_grid(intr, w, h, ss, window))
     # Pixel integration: box-average the subsamples inside each pixel.
     canvas = canvas.reshape(h, ss, w, ss, 1).mean(axis=(1, 3))
     canvas = canvas + AMBIENT_FLOOR

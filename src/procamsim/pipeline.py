@@ -90,7 +90,9 @@ def autofocus_step(
 ) -> tuple[ControllerState, Pose]:
     """One control step: detect, estimate pose, filter distance, refocus.
 
-    ``detections`` short-circuits the image detector (oracle mode).
+    ``detections`` short-circuits the image detector (oracle mode). No
+    detection, or a pose whose distance is not positive and finite, raises
+    TargetLost before the filter sees it.
     """
     if detections is None:
         detections = detect_markers(captured)
@@ -99,6 +101,8 @@ def autofocus_step(
     except NoKnownMarkers as exc:
         raise TargetLost(str(exc)) from exc
     distance = estimate_target_distance(pose)
+    if not 0.0 < distance < math.inf:
+        raise TargetLost(f"implausible pose: target distance {distance:.4g} mm")
     if state.filtered_distance is None or abs(distance - state.filtered_distance) > EMA_RESET_MM:
         filtered = distance
     else:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procamsim import imaging
 from procamsim.calibration import _station_lateral_amp, station_poses, sweep_calibrate
@@ -351,6 +352,68 @@ def test_image_sweep_builds_one_ray_grid_per_station(monkeypatch, calib_board, e
     assert len(profile.entries) == 2
     assert len(renders) == 16
     assert len(calls) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(ss=st.sampled_from([1, 2]), pinhole=st.booleans(), data=st.data())
+def test_window_ray_grid_equals_the_slice_of_the_full_grid(base_intr, ss, pinhole, data):
+    intr = replace(base_intr, k1=0.0, k2=0.0) if pinhole else replace(base_intr, k1=-0.0507)
+    w, h = 40, 30
+    r0 = data.draw(st.integers(0, h * ss))
+    c0 = data.draw(st.integers(0, w * ss))
+    window = (slice(r0, data.draw(st.integers(r0, h * ss))),
+              slice(c0, data.draw(st.integers(c0, w * ss))))
+    imaging._last_grid.clear()  # so the window is built, not sliced from a kept grid
+    part = imaging._undistorted_grid(intr, w, h, ss, window)
+    full = imaging._undistorted_grid(intr, w, h, ss)
+    sliced = imaging._undistorted_grid(intr, w, h, ss, window)
+    assert np.array_equal(part, full[window])
+    assert np.array_equal(sliced, full[window])
+    assert not any(g.flags.writeable for g in (part, full, sliced))
+
+
+def test_window_inside_the_kept_window_is_sliced_and_any_other_rebuilds(monkeypatch,
+                                                                       base_intr):
+    calls = _count_grid_builds(monkeypatch)
+    intr = replace(base_intr, k1=-0.0508)
+    outer = (slice(10, 60), slice(20, 90))
+    imaging._undistorted_grid(intr, 64, 48, 2, outer)
+    inner = imaging._undistorted_grid(intr, 64, 48, 2, (slice(10, 30), slice(50, 90)))
+    assert len(calls) == 1
+    assert inner.shape == (20, 40, 2) and not inner.flags.writeable
+    imaging._undistorted_grid(intr, 64, 48, 2, (slice(5, 30), slice(50, 90)))
+    assert len(calls) == 2
+    imaging._undistorted_grid(intr, 64, 48, 2, outer)  # dropped by the last request
+    assert len(calls) == 3
+    imaging._undistorted_grid(intr, 64, 48, 1, (slice(10, 20), slice(20, 30)))
+    assert len(calls) == 4  # another raster is another key
+    imaging._undistorted_grid(intr, 64, 48, 2)
+    imaging._undistorted_grid(intr, 64, 48, 2, (slice(0, 96), slice(100, 128)))
+    assert len(calls) == 5
+
+
+def test_capture_inverts_only_its_face_windows(monkeypatch, prism, etl, base_intr):
+    points = []
+    invert = imaging.undistort_many
+
+    def counted(intr, pd, **kwargs):
+        points.append(pd.size // 2)
+        return invert(intr, pd, **kwargs)
+
+    monkeypatch.setattr(imaging, "undistort_many", counted)
+    intr = replace(base_intr, k1=-0.0509)
+    raster = DEVICE_WH[0] * DEVICE_WH[1] * imaging.CAPTURE_SUPERSAMPLE ** 2
+    traj = load_trajectory(Path(__file__).resolve().parents[1] / "configs" / "trajectory.json")
+    for t in np.linspace(traj.t_start, traj.t_end, 3):
+        pose = sample_trajectory(traj, t)
+        power, _ = power_for_focus(etl, pose.translation[2])
+        areas = [(rows.stop - rows.start) * (cols.stop - cols.start)
+                 for rows, cols in _windows(prism, pose, etl, intr, power)]
+        points.clear()
+        render_capture(prism, pose, etl, intr, power, DEVICE_WH)
+        assert len(areas) >= 2
+        assert sum(points) == sum(areas)
+        assert sum(areas) < 0.15 * raster
 
 
 def _full_grid_capture(target, pose, etl, base_intr, power):

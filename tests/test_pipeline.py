@@ -1,6 +1,7 @@
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def test_autofocus_raises_target_lost(eval_board, etl, clean_profile):
     blank = Image.full(128, 128, 0.0)
     with pytest.raises(TargetLost):
         autofocus_step(state, blank, clean_profile, eval_board, etl)
+
+
+@pytest.mark.parametrize("z_mm", [-5.0, math.nan])
+def test_implausible_pose_is_a_lost_frame(monkeypatch, eval_board, etl, base_intr,
+                                          clean_profile, z_mm):
+    # A Pose refuses non-finite entries; the controller reads only the translation.
+    pose_estimate = SimpleNamespace(translation=np.array([0.0, 0.0, z_mm]))
+    monkeypatch.setattr(pipeline, "estimate_pose", lambda *args: (pose_estimate, 0.1))
+    rig = pipeline.Rig(etl=etl, base_intrinsics=base_intr, profile=clean_profile,
+                       device_wh=(512, 512), detector="oracle")
+    state = ControllerState.initial(clean_profile, etl)
+    dets = oracle_detect(eval_board, frontal_pose(150.0), base_intr, 0.0,
+                         NoiseModel(0.0, 0.0), 0)
+    new_state, pose = rig.step(state, eval_board, dets, attempt=0)
+    assert pose is None
+    assert new_state == recovery_state(state, clean_profile, etl, 0)
 
 
 def test_recovery_state_cycles_profile_stations(etl, clean_profile):
