@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import imaging, vision
 from .errors import (
     DegenerateMotion,
     InsufficientStations,
@@ -325,13 +326,9 @@ def _station_detections(board, pose, etl, base_intr, power, device_wh,
     if detector == "oracle":
         return oracle_detect(board, pose, true_intr, 0.0, noise, det_seed)
     if detector == "image":
-        # Imported per call: wrappers set on these names after import must see each capture.
-        from .imaging import render_capture
-        from .vision import detect_markers
-
-        capture = render_capture(board, pose, etl, base_intr, power, device_wh,
-                                 noise_sigma=sensor_sigma, seed=det_seed)
-        return detect_markers(capture)
+        capture = imaging.render_capture(board, pose, etl, base_intr, power, device_wh,
+                                         noise_sigma=sensor_sigma, seed=det_seed)
+        return vision.detect_markers(capture)
     raise ValueError(f"unknown detector mode {detector!r}")
 
 

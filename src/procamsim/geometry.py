@@ -168,11 +168,28 @@ def project_many(intr: Intrinsics, pose: Pose, points: np.ndarray):
     )
 
 
+def distortion_fold(intr: Intrinsics) -> tuple[float, float] | None:
+    """(undistorted, distorted) radius where r (1 + k1 r^2 + k2 r^4) turns back.
+
+    Its slope is 1 + 3 k1 s + 5 k2 s^2 with s = r^2, so the fold sits at the
+    smallest positive root; None when there is none and the model is one-to-one.
+    No ray reaches a distorted radius at or past the fold.
+    """
+    roots = np.roots([5.0 * intr.k2, 3.0 * intr.k1, 1.0])
+    s = min((z.real for z in roots if z.imag == 0.0 and z.real > 0.0), default=None)
+    if s is None:
+        return None
+    r = math.sqrt(s)
+    return r, r * (1.0 + intr.k1 * s + intr.k2 * s * s)
+
+
 def undistort(intr: Intrinsics, p_distorted) -> np.ndarray:
     """Invert the radial model for one normalized point by fixed-point iteration."""
     pd = np.asarray(p_distorted, dtype=float)
-    if np.hypot(pd[0], pd[1]) >= 1.0:
-        raise BeyondDistortionRange("undistort expects |p| < 1 in normalized coordinates")
+    fold = distortion_fold(intr)
+    if np.hypot(pd[0], pd[1]) >= (min(1.0, fold[1]) if fold else 1.0):
+        raise BeyondDistortionRange(
+            "undistort expects |p| < 1 and inside the lens's monotone range")
     q = pd.copy()
     for _ in range(UNDISTORT_MAX_ITER):
         r2 = q[0] * q[0] + q[1] * q[1]

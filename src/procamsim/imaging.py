@@ -7,10 +7,9 @@ device-image render of the lit faces through the external camera. Warps
 sample bilinearly. The capture inverts the lens and warps each face only
 inside a window that bounds its distorted outline, which gives the same
 bytes as the full grid; the device image and the external view run on the
-full pixel grid. The last ray grid is kept with its window, and the
-calibration sweep asks for one full grid per station, which its views'
-windows slice. Defocus is a uniform per-frame disk blur evaluated at the
-target origin's distance.
+full pixel grid. The last full ray grid is kept, and the calibration
+sweep asks for one per station, which its views' windows slice. Defocus
+is a uniform per-frame disk blur evaluated at the target origin's distance.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import optics
 from .errors import DimensionMismatch, EmptyRegion, IoError, NoVisibleSurface
-from .geometry import Intrinsics, Pose, project, project_many, undistort_many
+from .geometry import Intrinsics, Pose, distortion_fold, project, project_many, undistort_many
 from .image import Image
 from .optics import EtlModel, blur_radius, convolve, intrinsics_at_power, make_disk_psf
 from .scene import SceneFace, visible_faces
@@ -68,7 +67,7 @@ def default_external_camera() -> ExternalCamera:
 
 # --- warp machinery ----------------------------------------------------------
 
-_last_grid: dict = {}  # at most one entry: (intr, width, height, supersample) -> (window, grid)
+_last_grid: dict = {}  # at most one entry: (intr, width, height, supersample) -> full grid
 
 
 def _undistorted_grid(
@@ -82,27 +81,24 @@ def _undistorted_grid(
     ``window`` is (rows, columns) of that sample raster, the whole raster
     when omitted. Undistortion works sample by sample, so a window's grid
     holds the same bytes as the same slice of the full grid; the capture
-    inverts the lens only inside the windows it warps.
+    inverts the lens only inside the windows it warps. A sample at or past
+    the lens's fold has no ray: it holds NaN, which every warp leaves black.
 
-    The last undistorted grid is kept with its window, and every grid is
-    returned read-only. A request with the same intrinsics and raster whose
-    window lies inside the kept one is a slice of it: the calibration sweep
-    asks for one full grid per focus station, and the windows of the
+    The last full undistorted grid is kept, and every grid is returned
+    read-only. Any window of a kept grid is a slice of it: the calibration
+    sweep asks for one full grid per focus station, and the windows of the
     station's views slice it. Any other request drops the entry before its
-    grid is built, so the cache never holds two grids at once. A pinhole
-    grid is a plain meshgrid, cheap to rebuild, and is not kept.
+    grid is built, so the cache never holds two grids at once. A windowed
+    grid, and a pinhole grid (a plain meshgrid, cheap to rebuild), are not
+    kept.
     """
     rows, cols = window or (slice(None), slice(None))
-    rows = range(*rows.indices(height * supersample))
-    cols = range(*cols.indices(width * supersample))
     key = (intr, width, height, supersample)
     if key in _last_grid:
-        (krows, kcols), grid = _last_grid[key]
-        if krows.start <= rows.start and rows.stop <= krows.stop \
-                and kcols.start <= cols.start and cols.stop <= kcols.stop:
-            return grid[rows.start - krows.start:rows.stop - krows.start,
-                        cols.start - kcols.start:cols.stop - kcols.start]
+        return _last_grid[key][rows, cols]
     _last_grid.clear()
+    rows = range(*rows.indices(height * supersample))
+    cols = range(*cols.indices(width * supersample))
     xs = (np.arange(cols.start, cols.stop) + 0.5) / supersample - 0.5
     ys = (np.arange(rows.start, rows.stop) + 0.5) / supersample - 0.5
     u = (xs - intr.cx) / intr.fx
@@ -111,7 +107,12 @@ def _undistorted_grid(
     grid = np.stack([gu, gv], axis=-1)
     if intr.k1 != 0.0 or intr.k2 != 0.0:
         grid = undistort_many(intr, grid, iterations=12)
-        _last_grid[key] = ((rows, cols), grid)
+        fold = distortion_fold(intr)
+        reach = np.max(u * u, initial=0.0) + np.max(v * v, initial=0.0)  # corner radius^2
+        if fold is not None and reach >= fold[1] ** 2:
+            grid[gu * gu + gv * gv >= fold[1] ** 2] = np.nan
+        if window is None:
+            _last_grid[key] = grid
     grid.flags.writeable = False
     return grid
 
@@ -206,13 +207,10 @@ def _face_window(face: SceneFace, pose: Pose, intr: Intrinsics, width: int, heig
     px, valid = project_many(intr, pose, points)
     if not valid.all():
         return full
-    # d/dr [r (1 + k1 r^2 + k2 r^4)] = 1 + 3 k1 s + 5 k2 s^2 with s = r^2; a
-    # convex face's largest s is at a corner, and the slope's minimum over
-    # [0, s_max] at s_max or, for k2 > 0, at the parabola's vertex.
+    # A convex face's largest undistorted radius is at a corner.
+    fold = distortion_fold(intr)
     xc = pose.transform(points)
-    s_max = float(np.max((xc[:, 0] ** 2 + xc[:, 1] ** 2) / xc[:, 2] ** 2))
-    s = min(max(-0.3 * intr.k1 / intr.k2, 0.0), s_max) if intr.k2 > 0 else s_max
-    if 1.0 + 3.0 * intr.k1 * s + 5.0 * intr.k2 * s * s <= 0.0:
+    if fold is not None and np.max(np.hypot(xc[:, 0], xc[:, 1]) / xc[:, 2]) >= fold[0]:
         return full
     # Pixel p is sample (p + 0.5) * supersample - 0.5.
     lo = np.floor((px.min(axis=0) + 0.5) * supersample - 0.5).astype(int) - 2 * supersample
@@ -372,19 +370,20 @@ def render_external(
 def centroid(img: Image, region: tuple[int, int, int, int], threshold: float) -> np.ndarray:
     """Intensity-weighted centroid of above-threshold pixels in a region.
 
-    ``region`` is (x0, y0, x1, y1), half-open, in pixel coordinates.
+    ``region`` is (x0, y0, x1, y1), half-open, in pixel coordinates; a region
+    reaching past the image's top or left edge is cut there, not wrapped.
     """
     x0, y0, x1, y1 = region
-    patch = img.gray()[max(y0, 0):y1, max(x0, 0):x1]
+    x0, y0 = max(x0, 0), max(y0, 0)
+    patch = img.gray()[y0:y1, x0:x1]
     if patch.size == 0:
         raise EmptyRegion("region is empty")
-    weights = patch - threshold
-    weights[weights < 0] = 0.0
+    weights = np.clip(patch - threshold, 0.0, None)
     total = weights.sum()
     if total <= 0:
         raise EmptyRegion("no pixel above threshold in region")
-    ys, xs = np.mgrid[max(y0, 0):y1, max(x0, 0):x1]
-    return np.array([(weights * xs).sum() / total, (weights * ys).sum() / total])
+    ys, xs = np.mgrid[0:patch.shape[0], 0:patch.shape[1]]
+    return np.array([(weights * xs).sum() / total + x0, (weights * ys).sum() / total + y0])
 
 
 def psnr(a: Image, b: Image) -> float:

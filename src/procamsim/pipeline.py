@@ -18,12 +18,13 @@ import numpy as np
 
 from . import optics
 from .calibration import IntrinsicProfile, _etl_hash, interpolate
-from .errors import (BeyondDistortionRange, ConfigError, IoError, NoKnownMarkers,
-                     PointBehindCamera, TargetLost)
+from .errors import (BeyondDistortionRange, ConfigError, EmptyRegion, IoError,
+                     NoConvergence, NoKnownMarkers, PointBehindCamera, TargetLost)
 from .geometry import Intrinsics, Pose, project, rotation_from_axis_angle, undistort
 from .image import Image
 from .imaging import (
     DEFAULT_SENSOR_SIGMA,
+    centroid,
     default_external_camera,
     face_ray_homography,
     render_capture,
@@ -283,7 +284,7 @@ def face_transfer_misalignment(
         try:
             px = project(intr_est, pose_est, face.point_at(0.0, 0.0))
             landed = device_px_to_face_mm(px, intr_true, pose_true, face)
-        except (PointBehindCamera, BeyondDistortionRange):
+        except (PointBehindCamera, BeyondDistortionRange, NoConvergence):
             continue
         errors.append(float(np.hypot(landed[0], landed[1])))
     if not errors:
@@ -368,22 +369,17 @@ def measure_station_misalignment(setup, z_mm, state, pose_est):
         device_img, board, pose_true, setup.etl, setup.base_intrinsics, power,
     )
     face = board.faces()[0]
-    irr = irradiance[0].gray()
     errors = []
     window_mm = 6.0
     for dot in board.reference_dots:
         x0, y0 = face.texture_px(dot[0] - window_mm, dot[1] - window_mm)
         x1, y1 = face.texture_px(dot[0] + window_mm, dot[1] + window_mm)
-        # A window reaching past the texture edge is cut there, not wrapped.
-        row0, col0 = max(int(round(y0)), 0), max(int(round(x0)), 0)
-        patch = irr[row0:int(round(y1)) + 1, col0:int(round(x1)) + 1]
-        if patch.size == 0 or patch.max() < 0.05:
+        region = (int(round(x0)), int(round(y0)), int(round(x1)) + 1, int(round(y1)) + 1)
+        try:
+            cx, cy = centroid(irradiance[0], region, 0.05)
+        except EmptyRegion:
             errors.append(math.inf)
             continue
-        weights = np.clip(patch - 0.05, 0.0, None)
-        ys, xs = np.mgrid[0:patch.shape[0], 0:patch.shape[1]]
-        cx = (weights * xs).sum() / weights.sum() + col0
-        cy = (weights * ys).sum() / weights.sum() + row0
         u, v = face.mm_at(cx, cy)
         errors.append(float(np.hypot(u - dot[0], v - dot[1])))
     return errors

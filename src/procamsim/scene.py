@@ -197,6 +197,7 @@ class FiducialBoard:
                     height_mm=self.extent_mm[1],
                     albedo=albedo,
                     ppm=self.texture_ppm,
+                    markers=tuple(self.markers),
                 )
             ]
         return self._faces
@@ -204,10 +205,11 @@ class FiducialBoard:
 
 @dataclass(frozen=True)
 class SceneFace:
-    """One planar facet: a local frame plus a rasterized albedo texture.
+    """One planar facet: a local frame, a rasterized albedo texture and its markers.
 
     Face coordinates (u, v) run over [-w/2, w/2] x [-h/2, h/2] mm; texture
-    pixel (0, 0) is centered at (-w/2 + 0.5/ppm, -h/2 + 0.5/ppm).
+    pixel (0, 0) is centered at (-w/2 + 0.5/ppm, -h/2 + 0.5/ppm). Each
+    marker placement is given in face coordinates.
     """
 
     origin: np.ndarray
@@ -218,6 +220,7 @@ class SceneFace:
     height_mm: float
     albedo: Image
     ppm: float
+    markers: tuple[MarkerPlacement, ...] = ()
 
     def point_at(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -275,26 +278,21 @@ class PrismTarget:
         origin = self.apothem_mm * normal
         return origin, eu, ev, normal
 
-    def face_of_marker(self, marker_id: int) -> int:
-        try:
-            return self.marker_ids.index(marker_id)
-        except ValueError:
-            raise UnknownMarkerId(f"marker {marker_id} is not on the prism") from None
-
     def faces(self) -> list[SceneFace]:
         if self._faces is None:
             faces = []
             for k in range(6):
                 origin, eu, ev, normal = self.face_frame(k)
-                marker = FiducialMarker(self.marker_ids[k], self.marker_side_mm)
+                placement = MarkerPlacement(
+                    FiducialMarker(self.marker_ids[k], self.marker_side_mm), (0.0, 0.0))
                 albedo = rasterize_face_albedo(
                     self.face_width_mm, self.height_mm,
-                    [MarkerPlacement(marker, (0.0, 0.0))], [], 0.0, self.texture_ppm,
+                    [placement], [], 0.0, self.texture_ppm,
                 )
                 faces.append(
                     SceneFace(origin, eu, ev, normal,
                               self.face_width_mm, self.height_mm,
-                              albedo, self.texture_ppm)
+                              albedo, self.texture_ppm, (placement,))
                 )
             self._faces = faces
         return self._faces
@@ -351,22 +349,16 @@ def rasterize_face_albedo(
 
 def marker_corners_3d(target, marker_id: int) -> np.ndarray:
     """Ordered (TL, TR, BR, BL) marker corners in the target's object frame, mm."""
-    if isinstance(target, FiducialBoard):
-        for placement in target.markers:
+    for face in target.faces():
+        for placement in face.markers:
             if placement.marker.id == marker_id:
                 ca = math.cos(placement.angle_rad)
                 sa = math.sin(placement.angle_rad)
                 local = placement.marker.local_corners()
-                x = ca * local[:, 0] - sa * local[:, 1] + placement.center_mm[0]
-                y = sa * local[:, 0] + ca * local[:, 1] + placement.center_mm[1]
-                return np.stack([x, y, np.zeros(4)], axis=1)
-        raise UnknownMarkerId(f"marker {marker_id} is not on the board")
-    if isinstance(target, PrismTarget):
-        k = target.face_of_marker(marker_id)
-        origin, eu, ev, _ = target.face_frame(k)
-        local = FiducialMarker(marker_id, target.marker_side_mm).local_corners()
-        return origin + local[:, :1] * eu + local[:, 1:2] * ev
-    raise TypeError(f"unsupported target type {type(target).__name__}")
+                u = ca * local[:, 0] - sa * local[:, 1] + placement.center_mm[0]
+                v = sa * local[:, 0] + ca * local[:, 1] + placement.center_mm[1]
+                return face.point_at(u, v)
+    raise UnknownMarkerId(f"marker {marker_id} is not on the target")
 
 
 def visible_faces(target, pose: Pose) -> list[int]:

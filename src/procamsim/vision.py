@@ -30,14 +30,7 @@ from .geometry import (
 )
 from .image import Image
 from .optim import levenberg_marquardt
-from .scene import (
-    FiducialBoard,
-    MARKER_CELLS,
-    PrismTarget,
-    decode_payload,
-    marker_corners_3d,
-    visible_faces,
-)
+from .scene import MARKER_CELLS, decode_payload, marker_corners_3d, visible_faces
 
 THRESHOLD_BLOCK = 32
 THRESHOLD_OFFSET = 0.02
@@ -380,13 +373,8 @@ def oracle_detect(
 ) -> list[Detection]:
     """Fast detector double: projected ground-truth corners plus Gaussian noise."""
     noise = noise or NoiseModel()
-    if isinstance(target, PrismTarget):
-        ids = [target.marker_ids[k] for k in visible_faces(target, pose)]
-    elif isinstance(target, FiducialBoard):
-        front = (pose.rotation @ target.faces()[0].normal)[2] < 0
-        ids = target.marker_ids() if front else []
-    else:
-        raise TypeError(f"unsupported target type {type(target).__name__}")
+    faces = target.faces()
+    ids = [p.marker.id for k in visible_faces(target, pose) for p in faces[k].markers]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0D]))
     sigma = noise.sigma(blur_radius_px)
     detections = []
@@ -468,26 +456,22 @@ def estimate_target_distance(pose: Pose) -> float:
     return float(pose.translation[2])
 
 
-def fuse_prism_pose(detections, prism: PrismTarget, intr: Intrinsics) -> tuple[Pose, float]:
-    """Prism pose from every detected face, refined jointly."""
-    known = [d for d in detections if d.marker_id in prism.marker_ids]
-    if not known:
-        raise NoKnownMarkers("no detection matches a prism face")
-    obj = np.vstack([marker_corners_3d(prism, d.marker_id) for d in known])
-    img = np.vstack([d.corners for d in known])
-    # Initialize from the face with the largest image footprint.
-    best = max(known, key=lambda d: (abs(_signed_area(d.corners)), -d.marker_id))
-    init_pose, _ = pnp_planar(intr, marker_corners_3d(prism, best.marker_id), best.corners)
-    return _refine_pose(intr, obj, img, init_pose)
-
-
 def estimate_pose(target, detections, intr: Intrinsics) -> tuple[Pose, float]:
-    """Dispatch pose estimation for a board or prism target."""
-    if isinstance(target, PrismTarget):
-        return fuse_prism_pose(detections, target, intr)
-    known = [d for d in detections if d.marker_id in target.marker_ids()]
+    """Target pose from the detections of its markers; returns (pose, rms px).
+
+    A one-face target is solved by planar PnP over every matched corner. A
+    target with more faces starts from the marker with the largest image
+    footprint and is then refined jointly over all of them.
+    """
+    faces = target.faces()
+    ids = {p.marker.id for face in faces for p in face.markers}
+    known = [d for d in detections if d.marker_id in ids]
     if not known:
-        raise NoKnownMarkers("no detection matches the board")
+        raise NoKnownMarkers("no detection matches a marker on the target")
     obj = np.vstack([marker_corners_3d(target, d.marker_id) for d in known])
     img = np.vstack([d.corners for d in known])
-    return pnp_planar(intr, obj, img)
+    if len(faces) == 1:
+        return pnp_planar(intr, obj, img)
+    best = max(known, key=lambda d: (abs(_signed_area(d.corners)), -d.marker_id))
+    init_pose, _ = pnp_planar(intr, marker_corners_3d(target, best.marker_id), best.corners)
+    return _refine_pose(intr, obj, img, init_pose)

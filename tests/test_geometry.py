@@ -18,6 +18,7 @@ from procamsim.geometry import (
     apply_homography,
     axis_angle_from_rotation,
     distort_normalized,
+    distortion_fold,
     homography_dlt,
     nearest_rotation,
     project,
@@ -79,6 +80,31 @@ def test_undistort_rejects_far_points():
 def test_undistort_far_point_error_is_a_procam_error():
     with pytest.raises(BeyondDistortionRange):
         undistort(Intrinsics(600.0, 600.0, 256.0, 256.0, k1=-0.05), (0.0, 1.0))
+
+
+# A lens the config accepts whose radial model folds: r (1 - 0.2 r^2) peaks
+# at r = sqrt(5/3), distorted radius 0.861.
+FOLDING_LENS = Intrinsics(100.0, 100.0, 0.0, 0.0, k1=-0.2)
+
+
+@pytest.mark.parametrize("k1, k2", [(-0.2, 0.0), (-0.05, -0.0088), (-0.05, -0.2), (0.2, -0.1)])
+def test_distortion_fold_is_where_the_radial_model_turns_back(k1, k2):
+    r_u, r_d = distortion_fold(Intrinsics(100.0, 100.0, 0.0, 0.0, k1=k1, k2=k2))
+    s = r_u * r_u
+    assert 1.0 + 3.0 * k1 * s + 5.0 * k2 * s * s == pytest.approx(0.0, abs=1e-12)
+    assert r_d == pytest.approx(r_u * (1.0 + k1 * s + k2 * s * s), rel=1e-15)
+    assert all(1.0 + 3.0 * k1 * t + 5.0 * k2 * t * t > 0.0 for t in np.linspace(0.0, s, 100)[:-1])
+
+
+@pytest.mark.parametrize("k1, k2", [(0.0, 0.0), (-0.05, 0.01), (-0.05, 0.027), (0.1, 0.0)])
+def test_a_one_to_one_lens_has_no_fold(k1, k2):
+    assert distortion_fold(Intrinsics(100.0, 100.0, 0.0, 0.0, k1=k1, k2=k2)) is None
+
+
+def test_undistort_past_the_fold_is_beyond_the_distortion_range():
+    assert distortion_fold(FOLDING_LENS)[1] == pytest.approx(0.8607, abs=1e-4)
+    with pytest.raises(BeyondDistortionRange):
+        undistort(FOLDING_LENS, (0.9, 0.0))
 
 
 @pytest.mark.parametrize("k1", [-0.2, -0.05, 0.0, 0.1, 0.2])

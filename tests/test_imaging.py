@@ -11,6 +11,7 @@ from procamsim.calibration import _station_lateral_amp, station_poses, sweep_cal
 from procamsim.errors import DimensionMismatch, EmptyRegion, IoError, NoVisibleSurface
 from procamsim.geometry import (
     Homography,
+    Intrinsics,
     Pose,
     homography_dlt,
     project,
@@ -26,6 +27,7 @@ from procamsim.imaging import (
     psnr,
     read_image,
     render_capture,
+    render_device_image,
     render_external,
     render_projection_on_surface,
     write_image,
@@ -301,6 +303,10 @@ def test_ray_grid_is_built_once_for_repeated_intrinsics(monkeypatch, eval_board,
     calls = _count_grid_builds(monkeypatch)
     intr = replace(base_intr, k1=-0.0501)
     pose = frontal_pose(150.0)
+    # The full grid is kept, as the calibration sweep asks for it once per station;
+    # the captures' face windows slice it.
+    imaging._undistorted_grid(intrinsics_at_power(etl, intr, 0.0), 256, 256,
+                              imaging.CAPTURE_SUPERSAMPLE)
     a = render_capture(eval_board, pose, etl, intr, 0.0, (256, 256), seed=3)
     b = render_capture(eval_board, pose, etl, intr, 0.0, (256, 256), seed=3)
     assert len(calls) == 1
@@ -374,22 +380,43 @@ def test_window_ray_grid_equals_the_slice_of_the_full_grid(base_intr, ss, pinhol
 
 def test_window_inside_the_kept_window_is_sliced_and_any_other_rebuilds(monkeypatch,
                                                                        base_intr):
+    """Only a full grid is kept; any window of it is a slice."""
     calls = _count_grid_builds(monkeypatch)
     intr = replace(base_intr, k1=-0.0508)
-    outer = (slice(10, 60), slice(20, 90))
-    imaging._undistorted_grid(intr, 64, 48, 2, outer)
-    inner = imaging._undistorted_grid(intr, 64, 48, 2, (slice(10, 30), slice(50, 90)))
-    assert len(calls) == 1
-    assert inner.shape == (20, 40, 2) and not inner.flags.writeable
-    imaging._undistorted_grid(intr, 64, 48, 2, (slice(5, 30), slice(50, 90)))
-    assert len(calls) == 2
-    imaging._undistorted_grid(intr, 64, 48, 2, outer)  # dropped by the last request
+    window = (slice(10, 60), slice(20, 90))
+    imaging._undistorted_grid(intr, 64, 48, 2, window)
+    imaging._undistorted_grid(intr, 64, 48, 2, window)
+    assert len(calls) == 2 and not imaging._last_grid  # a windowed grid is not kept
+    full = imaging._undistorted_grid(intr, 64, 48, 2)
     assert len(calls) == 3
+    part = imaging._undistorted_grid(intr, 64, 48, 2, window)
+    edge = imaging._undistorted_grid(intr, 64, 48, 2, (slice(0, 96), slice(100, 128)))
+    assert len(calls) == 3
+    assert part.shape == (50, 70, 2) and edge.shape == (96, 28, 2)
+    assert np.shares_memory(part, full) and not part.flags.writeable
     imaging._undistorted_grid(intr, 64, 48, 1, (slice(10, 20), slice(20, 30)))
     assert len(calls) == 4  # another raster is another key
-    imaging._undistorted_grid(intr, 64, 48, 2)
-    imaging._undistorted_grid(intr, 64, 48, 2, (slice(0, 96), slice(100, 128)))
-    assert len(calls) == 5
+    assert not imaging._last_grid  # and drops the kept grid before its own is built
+
+
+def test_ray_grid_has_no_ray_past_the_lens_fold():
+    # Normalized x = column / 100; the lens folds at distorted radius 0.8607.
+    grid = imaging._undistorted_grid(Intrinsics(100.0, 100.0, 0.0, 0.0, k1=-0.2), 100, 1)
+    assert np.isfinite(grid[0, :87]).all()
+    assert np.isnan(grid[0, 87:]).all()
+
+
+def test_samples_past_the_lens_fold_render_black():
+    face = _black_board().face
+    white = OneFaceTarget(replace(face, albedo=Image.full(face.albedo.width,
+                                                          face.albedo.height, 1.0)))
+    intr = Intrinsics(100.0, 100.0, 63.5, 63.5, k1=-0.2)
+    img = render_device_image(white, frontal_pose(15.0), intr, {0: white.face.albedo},
+                              (128, 128))
+    ys, xs = np.mgrid[0:128, 0:128]
+    radius = np.hypot(xs - 63.5, ys - 63.5) / 100.0
+    assert (img.data[radius >= 0.861] == 0.0).all()
+    assert (img.data[radius < 0.86] == 1.0).all()
 
 
 def test_capture_inverts_only_its_face_windows(monkeypatch, prism, etl, base_intr):

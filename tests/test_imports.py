@@ -9,8 +9,8 @@ def _tree(name: str) -> ast.Module:
     return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
 
 
-def test_only_station_detections_imports_at_call_time():
-    """The two call-time imports let wrappers installed after import see each sweep capture."""
+def test_no_function_imports_at_call_time():
+    """Calls go through module attributes instead, which wrappers installed after import see."""
     nested = set()
     for path in sorted(SRC.glob("*.py")):
         for func in ast.walk(_tree(path.stem)):
@@ -20,8 +20,16 @@ def test_only_station_detections_imports_at_call_time():
                         nested |= {(path.stem, func.name, a.name) for a in node.names}
                     elif isinstance(node, ast.ImportFrom):
                         nested.add((path.stem, func.name, node.module))
-    assert nested == {("calibration", "_station_detections", "imaging"),
-                      ("calibration", "_station_detections", "vision")}
+    assert nested == set()
+
+
+def test_vision_does_not_import_the_target_types():
+    """Which marker sits on which face is scene's to know, read through the faces."""
+    names = set()
+    for node in ast.walk(_tree("vision")):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    assert not names & {"FiducialBoard", "PrismTarget"}
 
 
 def test_vision_does_not_import_calibration():

@@ -80,9 +80,8 @@ def test_marker_corners_square_planar_ccw():
 
 def test_prism_marker_corner_radius():
     prism = hex_prism()
-    for marker_id in prism.marker_ids:
+    for k, marker_id in enumerate(prism.marker_ids):
         corners = marker_corners_3d(prism, marker_id)
-        k = prism.face_of_marker(marker_id)
         center, _, _, _ = prism.face_frame(k)
         dist = np.linalg.norm(corners - center, axis=1)
         assert np.max(np.abs(dist - 6.5 * math.sqrt(2.0))) < 1e-12

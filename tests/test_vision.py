@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,19 @@ from procamsim.geometry import Pose, project_many, rotation_from_axis_angle
 from procamsim.image import Image
 from procamsim.imaging import render_capture
 from procamsim.optics import intrinsics_at_power, power_for_focus
-from procamsim.scene import marker_corners_3d, visible_faces
+from procamsim.scene import (
+    PrismTarget,
+    default_scene_document,
+    load_target,
+    marker_corners_3d,
+    visible_faces,
+)
 from procamsim.vision import (
     Detection,
     NoiseModel,
     detect_markers,
+    estimate_pose,
     estimate_target_distance,
-    fuse_prism_pose,
     oracle_detect,
     pnp_planar,
 )
@@ -187,7 +195,7 @@ def test_fuse_prism_single_face_exact(prism, base_intr):
     corners = marker_corners_3d(prism, 10)
     px, _ = project_many(base_intr, pose, corners)
     detections = [Detection(10, px, 1.0)]
-    recovered, rms = fuse_prism_pose(detections, prism, base_intr)
+    recovered, rms = estimate_pose(prism, detections, base_intr)
     assert rms < 1e-9
     assert np.max(np.abs(recovered.translation - pose.translation)) < 1e-4
     assert np.max(np.abs(recovered.rotation - pose.rotation)) < 1e-6
@@ -207,8 +215,8 @@ def test_fuse_prism_more_faces_never_worse(prism, base_intr):
         for marker_id in ids:
             px, _ = project_many(base_intr, pose, marker_corners_3d(prism, marker_id))
             dets.append(Detection(marker_id, px + rng.normal(0.0, 0.1, px.shape), 1.0))
-        single, _ = fuse_prism_pose(dets[:1], prism, base_intr)
-        both, _ = fuse_prism_pose(dets, prism, base_intr)
+        single, _ = estimate_pose(prism, dets[:1], base_intr)
+        both, _ = estimate_pose(prism, dets, base_intr)
         one_face_err.append(abs(single.translation[2] - 180.0))
         two_face_err.append(abs(both.translation[2] - 180.0))
     assert np.mean(two_face_err) <= np.mean(one_face_err)
@@ -217,7 +225,46 @@ def test_fuse_prism_more_faces_never_worse(prism, base_intr):
 def test_fuse_prism_unknown_ids(prism, base_intr):
     det = Detection(500, np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float), 1.0)
     with pytest.raises(NoKnownMarkers):
-        fuse_prism_pose([det], prism, base_intr)
+        estimate_pose(prism, [det], base_intr)
+
+
+SCENE_JSON = Path(__file__).resolve().parents[1] / "configs" / "scene.json"
+TARGETS = {
+    f"{source}:{name}": doc
+    for source, scene in (("default", default_scene_document()),
+                          ("scene.json", json.loads(SCENE_JSON.read_text(encoding="utf-8"))))
+    for name, doc in scene["targets"].items()
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TARGETS))
+def any_target(request):
+    return load_target(TARGETS[request.param])
+
+
+def _expected_ids(target, pose):
+    """The markers a device at ``pose`` sees, from the target's own layout fields."""
+    if isinstance(target, PrismTarget):
+        return sorted(target.marker_ids[k] for k in visible_faces(target, pose))
+    front = (pose.rotation @ np.array([0.0, 0.0, -1.0]))[2] < 0
+    return sorted(target.marker_ids()) if front else []
+
+
+@pytest.mark.parametrize("turn_deg", [0.0, 10.0, 180.0, 190.0])
+def test_oracle_returns_the_markers_of_the_visible_faces(any_target, turn_deg, etl, base_intr):
+    pose = Pose(rotation_from_axis_angle(np.array([0.0, math.radians(turn_deg), 0.0])),
+                np.array([0.0, 0.0, 180.0]))
+    intr = intrinsics_at_power(etl, base_intr, 0.0)
+    dets = oracle_detect(any_target, pose, intr, 0.0, NoiseModel(0.0, 0.0), seed=0)
+    expected = _expected_ids(any_target, pose)
+    assert [d.marker_id for d in dets] == expected
+    assert bool(expected) == (turn_deg < 90.0 or isinstance(any_target, PrismTarget))
+
+
+def test_estimate_pose_rejects_ids_not_on_the_target(any_target, base_intr):
+    det = Detection(500, np.array([[0, 0], [10, 0], [10, 10], [0, 10]], dtype=float), 1.0)
+    with pytest.raises(NoKnownMarkers):
+        estimate_pose(any_target, [det], base_intr)
 
 
 def test_detection_validation():
