@@ -90,7 +90,7 @@ def _get(doc: dict, key: str, kind):
         raise ConfigError(f"config is missing required key {key!r}")
     try:
         return kind(doc[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
@@ -99,7 +99,7 @@ def _naming(what: str):
     """Report a malformed value inside the block as a ConfigError naming ``what``."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 

@@ -15,10 +15,6 @@ class PointBehindCamera(ProcamError):
     """Projection requested for a point at or behind the lens plane."""
 
 
-class NoConvergence(ProcamError):
-    """Iterative undistortion failed to converge within the iteration cap."""
-
-
 class BeyondDistortionRange(ProcamError, ValueError):
     """Normalized point lies outside the unit disc where undistortion is defined."""
 

@@ -18,14 +18,12 @@ from .errors import (
     BehindCamera,
     BeyondDistortionRange,
     DegenerateConfiguration,
-    NoConvergence,
     PointAtInfinity,
     PointBehindCamera,
 )
 
 MIN_DEPTH_MM = 1e-6
-UNDISTORT_MAX_ITER = 50
-UNDISTORT_TOL = 1e-9
+NEWTON_BLOCK = 1 << 15  # undistort_many's points per pass: small temporaries, in cache
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -172,50 +170,60 @@ def distortion_fold(intr: Intrinsics) -> tuple[float, float] | None:
     """(undistorted, distorted) radius where r (1 + k1 r^2 + k2 r^4) turns back.
 
     Its slope is 1 + 3 k1 s + 5 k2 s^2 with s = r^2, so the fold sits at the
-    smallest positive root; None when there is none and the model is one-to-one.
-    No ray reaches a distorted radius at or past the fold.
+    smallest positive root, written in the form that does not cancel; None
+    when there is none (or it lies past the largest float) and the model is
+    one-to-one. No ray reaches a distorted radius at or past the fold.
     """
-    roots = np.roots([5.0 * intr.k2, 3.0 * intr.k1, 1.0])
-    s = min((z.real for z in roots if z.imag == 0.0 and z.real > 0.0), default=None)
-    if s is None:
+    k1, k2 = intr.k1, intr.k2
+    disc = 9.0 * k1 * k1 - 20.0 * k2
+    if disc < 0.0 or (k1 >= 0.0 and k2 >= 0.0):
         return None
+    s = 2.0 / (math.sqrt(disc) - 3.0 * k1) if k1 <= 0.0 else (math.sqrt(disc) + 3.0 * k1) / (-10.0 * k2)
     r = math.sqrt(s)
-    return r, r * (1.0 + intr.k1 * s + intr.k2 * s * s)
+    return (r, r * (1.0 + k1 * s + k2 * s * s)) if s < math.inf else None
 
 
 def undistort(intr: Intrinsics, p_distorted) -> np.ndarray:
-    """Invert the radial model for one normalized point by fixed-point iteration."""
+    """``undistort_many`` for one normalized point, which must lie inside |p| < 1 and the fold."""
     pd = np.asarray(p_distorted, dtype=float)
-    fold = distortion_fold(intr)
-    if np.hypot(pd[0], pd[1]) >= (min(1.0, fold[1]) if fold else 1.0):
+    q = undistort_many(intr, pd)
+    if not np.hypot(pd[0], pd[1]) < 1.0 or np.isnan(q).any():
         raise BeyondDistortionRange(
             "undistort expects |p| < 1 and inside the lens's monotone range")
-    q = pd.copy()
-    for _ in range(UNDISTORT_MAX_ITER):
-        r2 = q[0] * q[0] + q[1] * q[1]
-        factor = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
-        q = pd / factor
-        back = distort_normalized(intr, q)
-        if max(abs(back[0] - pd[0]), abs(back[1] - pd[1])) < UNDISTORT_TOL:
-            return q
-    raise NoConvergence(f"undistortion did not converge for p={pd}")
+    return q
 
 
-def undistort_many(intr: Intrinsics, pd: np.ndarray, iterations: int = 12) -> np.ndarray:
-    """Fixed-iteration vectorized undistortion of (..., 2) normalized points.
+def undistort_many(intr: Intrinsics, pd: np.ndarray) -> np.ndarray:
+    """Invert the radial model for (..., 2) normalized points, element by element.
 
-    Used by the renderers on full pixel grids; runs a fixed number of
-    contraction steps so the output is deterministic regardless of chunking.
+    Newton's method solves r (1 + k1 r^2 + k2 r^4) = r_d for the radius from
+    r = r_d. Each point stops on its own, once its step falls to the last bit
+    of r or stops shrinking, so any part of a grid gets the bytes it has in
+    the whole, and a pinhole lens gets its input back. A point at or past the
+    fold (``distortion_fold``) has no ray: NaN.
     """
     pd = np.asarray(pd, dtype=float)
-    x = pd[..., 0].copy()
-    y = pd[..., 1].copy()
-    for _ in range(iterations):
-        r2 = x * x + y * y
-        factor = 1.0 + intr.k1 * r2 + intr.k2 * r2 * r2
-        np.divide(pd[..., 0], factor, out=x)
-        np.divide(pd[..., 1], factor, out=y)
-    return np.stack([x, y], axis=-1)
+    rd = np.sqrt(pd[..., 0] * pd[..., 0] + pd[..., 1] * pd[..., 1])
+    fold = distortion_fold(intr)
+    reach = fold[1] if fold else math.inf
+    flat, r = rd.reshape(-1), np.full(rd.size, np.nan)
+    k1, k2 = intr.k1, intr.k2
+    for lo in range(0, rd.size, NEWTON_BLOCK):
+        todo = lo + np.flatnonzero(flat[lo:lo + NEWTON_BLOCK] < reach)
+        ra = target = flat[todo]
+        last = math.inf
+        while todo.size:
+            s = ra * ra
+            step = (ra * (1.0 + s * (k1 + k2 * s)) - target) / (1.0 + s * (3.0 * k1 + 5.0 * k2 * s))
+            ra = ra - step
+            step = np.abs(step)
+            go = (step > 2.0 ** -52 * ra) & (step < last)
+            if not go.all():
+                r[todo] = ra
+                todo, ra, target, step = todo[go], ra[go], target[go], step[go]
+            last = step
+    scale = np.divide(r.reshape(rd.shape), rd, out=np.ones_like(rd), where=rd > 0.0)
+    return pd * scale[..., None]
 
 
 def _normalizing_similarity(points: np.ndarray) -> np.ndarray:

@@ -103,14 +103,9 @@ def _undistorted_grid(
     ys = (np.arange(rows.start, rows.stop) + 0.5) / supersample - 0.5
     u = (xs - intr.cx) / intr.fx
     v = (ys - intr.cy) / intr.fy
-    gu, gv = np.meshgrid(u, v)
-    grid = np.stack([gu, gv], axis=-1)
+    grid = np.stack(np.meshgrid(u, v), axis=-1)
     if intr.k1 != 0.0 or intr.k2 != 0.0:
-        grid = undistort_many(intr, grid, iterations=12)
-        fold = distortion_fold(intr)
-        reach = np.max(u * u, initial=0.0) + np.max(v * v, initial=0.0)  # corner radius^2
-        if fold is not None and reach >= fold[1] ** 2:
-            grid[gu * gu + gv * gv >= fold[1] ** 2] = np.nan
+        grid = undistort_many(intr, grid)
         if window is None:
             _last_grid[key] = grid
     grid.flags.writeable = False

@@ -19,7 +19,7 @@ import numpy as np
 from . import optics
 from .calibration import IntrinsicProfile, _etl_hash, interpolate
 from .errors import (BeyondDistortionRange, ConfigError, EmptyRegion, IoError,
-                     NoConvergence, NoKnownMarkers, PointBehindCamera, TargetLost)
+                     NoKnownMarkers, PointBehindCamera, TargetLost)
 from .geometry import Intrinsics, Pose, project, rotation_from_axis_angle, undistort
 from .image import Image
 from .imaging import (
@@ -92,14 +92,14 @@ def autofocus_step(
     """One control step: detect, estimate pose, filter distance, refocus.
 
     ``detections`` short-circuits the image detector (oracle mode). No
-    detection, or a pose whose distance is not positive and finite, raises
-    TargetLost before the filter sees it.
+    detection, a corner past the lens's fold, or a pose whose distance is not
+    positive and finite, raises TargetLost before the filter sees it.
     """
     if detections is None:
         detections = detect_markers(captured)
     try:
         pose, _rms = estimate_pose(target, detections, state.active_intrinsics)
-    except NoKnownMarkers as exc:
+    except (NoKnownMarkers, BeyondDistortionRange) as exc:
         raise TargetLost(str(exc)) from exc
     distance = estimate_target_distance(pose)
     if not 0.0 < distance < math.inf:
@@ -284,7 +284,7 @@ def face_transfer_misalignment(
         try:
             px = project(intr_est, pose_est, face.point_at(0.0, 0.0))
             landed = device_px_to_face_mm(px, intr_true, pose_true, face)
-        except (PointBehindCamera, BeyondDistortionRange, NoConvergence):
+        except (PointBehindCamera, BeyondDistortionRange):
             continue
         errors.append(float(np.hypot(landed[0], landed[1])))
     if not errors:

@@ -486,7 +486,7 @@ def _board_from_dict(doc: dict) -> FiducialBoard:
             extent_mm=(float(doc["extent_mm"][0]), float(doc["extent_mm"][1])),
             **_given(doc, dot_radius_mm=float),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise SceneFormatError(f"bad board document: {exc}") from exc
 
 
@@ -496,7 +496,7 @@ def _prism_from_dict(doc: dict) -> PrismTarget:
             doc, face_width_mm=float, height_mm=float,
             marker_ids=lambda ids: tuple(int(i) for i in ids), marker_side_mm=float,
         ))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SceneFormatError(f"bad prism document: {exc}") from exc
 
 

@@ -15,6 +15,7 @@ from scipy import ndimage
 
 from . import imaging
 from .errors import (
+    BeyondDistortionRange,
     DegenerateConfiguration,
     InsufficientPoints,
     NoKnownMarkers,
@@ -54,10 +55,8 @@ class Detection:
 
     def __post_init__(self):
         corners = np.asarray(self.corners, dtype=float).reshape(4, 2)
-        if abs(_signed_area(corners)) < MIN_QUAD_AREA:
-            raise ValueError("detection quad area below 25 px^2")
-        if not _is_convex(corners):
-            raise ValueError("detection corners must form a convex quadrilateral")
+        if not _usable_quad(corners):
+            raise ValueError("detection corners must form a convex quad of at least 25 px^2")
         corners.flags.writeable = False
         object.__setattr__(self, "corners", corners)
 
@@ -95,6 +94,11 @@ def _is_convex(poly: np.ndarray) -> bool:
             elif sign * cross < 0.0:
                 return False
     return sign != 0.0
+
+
+def _usable_quad(quad: np.ndarray) -> bool:
+    """Whether four corners can be a Detection: convex, and not too small to decode."""
+    return abs(_signed_area(quad)) >= MIN_QUAD_AREA and _is_convex(quad)
 
 
 # --- contour extraction -------------------------------------------------------
@@ -314,7 +318,7 @@ def detect_markers(img: Image) -> list[Detection]:
         quad = _simplify_closed(contour, DP_EPSILON_FRAC * perimeter)
         if len(quad) != 4:
             continue
-        if abs(_signed_area(quad)) < MIN_QUAD_AREA or not _is_convex(quad):
+        if not _usable_quad(quad):
             continue
         if _signed_area(quad) < 0:
             quad = quad[::-1].copy()  # clockwise on screen
@@ -332,7 +336,7 @@ def _decode_quad(plane: np.ndarray, quad: np.ndarray) -> Detection | None:
     refined = _refine_corners(plane, quad)
     if refined is None:
         refined = quad  # keep the coarse quad when edges are too degraded
-    if not _is_convex(refined) or abs(_signed_area(refined)) < MIN_QUAD_AREA:
+    if not _usable_quad(refined):
         return None
     try:
         h_cells = homography_dlt(cell_corners, refined)
@@ -384,7 +388,8 @@ def oracle_detect(
             continue
         if sigma > 0:
             px = px + rng.normal(0.0, sigma, px.shape)
-        detections.append(Detection(marker_id, px, 1.0))
+        if _usable_quad(px):  # not when seen nearly edge-on; its noise is drawn all the same
+            detections.append(Detection(marker_id, px, 1.0))
     return detections
 
 
@@ -401,17 +406,6 @@ def _plane_basis(object_points: np.ndarray):
         raise DegenerateConfiguration("object points are collinear")
     e1, e2 = vt[0], vt[1]
     return centroid, e1, e2
-
-
-def _ideal_pixels(intr: Intrinsics, image_points: np.ndarray) -> np.ndarray:
-    """Undistort observed pixels into distortion-free pixel coordinates."""
-    pn = np.stack(
-        [(image_points[:, 0] - intr.cx) / intr.fx,
-         (image_points[:, 1] - intr.cy) / intr.fy], axis=1
-    )
-    if intr.k1 != 0.0 or intr.k2 != 0.0:
-        pn = undistort_many(intr, pn, iterations=30)
-    return np.stack([intr.fx * pn[:, 0] + intr.cx, intr.fy * pn[:, 1] + intr.cy], axis=1)
 
 
 def _refine_pose(intr, object_points, image_points, init: Pose) -> tuple[Pose, float]:
@@ -432,7 +426,8 @@ def pnp_planar(intr: Intrinsics, object_points, image_points) -> tuple[Pose, flo
     """Pose of a planar target from n >= 4 correspondences.
 
     Homography initialization on undistorted points, then damped least
-    squares over the six pose parameters against the raw observations.
+    squares over the six pose parameters against the raw observations. A
+    point at or past the lens's fold has no ray: BeyondDistortionRange.
     """
     object_points = np.asarray(object_points, dtype=float).reshape(-1, 3)
     image_points = np.asarray(image_points, dtype=float).reshape(-1, 2)
@@ -441,8 +436,11 @@ def pnp_planar(intr: Intrinsics, object_points, image_points) -> tuple[Pose, flo
     centroid, e1, e2 = _plane_basis(object_points)
     centered = object_points - centroid
     plane_uv = np.stack([centered @ e1, centered @ e2], axis=1)
-    ideal = _ideal_pixels(intr, image_points)
-    h = homography_dlt(plane_uv, ideal)
+    focal, centre = np.array([intr.fx, intr.fy]), np.array([intr.cx, intr.cy])
+    pn = undistort_many(intr, (image_points - centre) / focal)
+    if np.isnan(pn).any():
+        raise BeyondDistortionRange("an observed point lies past the lens's fold")
+    h = homography_dlt(plane_uv, focal * pn + centre)
     pose_plane = extrinsics_from_homography(intr, h)
     # Convert the plane-frame pose into the object frame.
     basis = np.stack([e1, e2, np.cross(e1, e2)], axis=1)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,29 @@ def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, v
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("file, path, value", [
+    ("config.json", ["seed"], math.inf),
+    ("config.json", ["settle_steps"], math.inf),
+    ("config.json", ["device", "width"], math.inf),
+    ("scene.json", ["targets", "calibration_board", "markers", 0, "id"], math.inf),
+    ("scene.json", ["targets", "prism", "marker_ids"], [math.inf, 1, 2, 3, 4, 5]),
+])
+def test_cmd_rejects_infinity_in_an_integer_field(workspace, capsys, file, path, value):
+    """JSON ``Infinity`` is a float that no integer holds: one line, exit 2."""
+    tmp_path, config, _ = workspace
+    doc = json.loads((tmp_path / file).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / file).write_text(json.dumps(doc))
+    out = tmp_path / "frame.pgm"
+    code = main(["render", "--config", str(config), "--distance", "150", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cmd_render_and_psf(workspace, capsys):

@@ -96,7 +96,8 @@ def test_distortion_fold_is_where_the_radial_model_turns_back(k1, k2):
     assert all(1.0 + 3.0 * k1 * t + 5.0 * k2 * t * t > 0.0 for t in np.linspace(0.0, s, 100)[:-1])
 
 
-@pytest.mark.parametrize("k1, k2", [(0.0, 0.0), (-0.05, 0.01), (-0.05, 0.027), (0.1, 0.0)])
+@pytest.mark.parametrize("k1, k2", [(0.0, 0.0), (-0.05, 0.01), (-0.05, 0.027), (0.1, 0.0),
+                                    (0.0, 2.2e-311), (0.0, 5e-324)])
 def test_a_one_to_one_lens_has_no_fold(k1, k2):
     assert distortion_fold(Intrinsics(100.0, 100.0, 0.0, 0.0, k1=k1, k2=k2)) is None
 
@@ -105,6 +106,21 @@ def test_undistort_past_the_fold_is_beyond_the_distortion_range():
     assert distortion_fold(FOLDING_LENS)[1] == pytest.approx(0.8607, abs=1e-4)
     with pytest.raises(BeyondDistortionRange):
         undistort(FOLDING_LENS, (0.9, 0.0))
+
+
+def test_undistort_near_the_fold_round_trips():
+    """The slope of r (1 - 0.2 r^2) is 0.02 here, where a fixed-point loop stalls."""
+    q = undistort(FOLDING_LENS, (0.86, 0.0))
+    assert np.max(np.abs(distort_normalized(FOLDING_LENS, q) - [0.86, 0.0])) <= 1e-12
+
+
+def test_undistort_many_is_nan_at_and_past_the_fold():
+    r_fold = distortion_fold(FOLDING_LENS)[1]
+    pd = np.array([[r_fold, 0.0], [0.0, -r_fold], [0.9, 0.0], [0.7, 0.7],
+                   [np.nextafter(r_fold, 0.0), 0.0]])
+    q = undistort_many(FOLDING_LENS, pd)
+    assert np.isnan(q[:4]).all()
+    assert np.isfinite(q[4]).all()
 
 
 @pytest.mark.parametrize("k1", [-0.2, -0.05, 0.0, 0.1, 0.2])
@@ -146,16 +162,42 @@ def test_undistort_many_is_element_wise(k1, k2, data):
 @given(k1=_k1, k2=_k2, r=st.floats(0.0, 0.9), theta=st.floats(-math.pi, math.pi))
 @example(k1=-0.06, k2=-0.01, r=0.9, theta=math.pi / 4)
 def test_undistort_many_inverts_the_radial_model(k1, k2, r, theta):
-    """Round trip within 1e-9 inside radius 0.9.
+    """Round trip within 1e-12 inside radius 0.9.
 
     For these coefficients the radius stays well inside the monotone range
-    (it ends beyond |r_d| = 1.2), where each of the 12 fixed steps shrinks
-    the error at least 5x.
+    (it ends beyond |r_d| = 1.2), where Newton's method converges quadratically.
     """
     intr = Intrinsics(600.0, 600.0, 256.0, 256.0, k1=k1, k2=k2)
     p = np.array([r * math.cos(theta), r * math.sin(theta)])
     back = distort_normalized(intr, undistort_many(intr, p))
-    assert np.max(np.abs(back - p)) < 1e-9
+    assert np.max(np.abs(back - p)) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(lens=st.one_of(st.tuples(st.floats(-0.3, 0.0, exclude_max=True), st.just(0.0)),
+                      st.tuples(_k1, _k2)),
+       frac=st.floats(0.0, 1.0 - 1e-6), theta=st.floats(-math.pi, math.pi))
+@example(lens=(-0.2, 0.0), frac=1.0 - 1e-6, theta=0.0)
+@example(lens=(-0.3, 0.0), frac=1.0 - 1e-6, theta=math.pi / 4)
+def test_undistort_many_round_trips_up_to_the_fold(lens, frac, theta):
+    """Within 1e-12 up to 1e-6 short of the fold, or of radius 1.5 for a lens that has none.
+
+    A tiny k1 folds far out, so past radius 1 the bound is relative.
+    """
+    intr = Intrinsics(600.0, 600.0, 256.0, 256.0, k1=lens[0], k2=lens[1])
+    fold = distortion_fold(intr)
+    r = frac * (fold[1] if fold else 1.5)
+    p = np.array([r * math.cos(theta), r * math.sin(theta)])
+    back = distort_normalized(intr, undistort_many(intr, p))
+    assert np.max(np.abs(back - p)) <= 1e-12 * max(1.0, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=hnp.arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(2)),
+                       elements=st.floats(-2.0, 2.0)))
+def test_undistort_many_returns_its_input_for_a_pinhole_lens(grid):
+    out = undistort_many(Intrinsics(600.0, 600.0, 256.0, 256.0), grid)
+    assert out.tobytes() == grid.tobytes()
 
 
 def test_homography_identity_on_unit_square():

@@ -40,3 +40,15 @@ def test_vision_does_not_import_calibration():
         elif isinstance(node, ast.Import):
             names |= {a.name for a in node.names}
     assert not any("calibration" in name.split(".") for name in names)
+
+
+def test_every_error_class_is_raised_in_the_package():
+    """A class nothing raises only widens the except clauses that name it."""
+    classes = {node.name for node in _tree("errors").body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.stem)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert classes - raised == {"ProcamError"}

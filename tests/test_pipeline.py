@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ from procamsim.pipeline import (
     zone_transitions,
 )
 from procamsim.scene import Trajectory, load_target
-from procamsim.vision import NoiseModel, oracle_detect
+from procamsim.vision import Detection, NoiseModel, oracle_detect
 from tests.conftest import frontal_pose
 
 
@@ -107,6 +108,22 @@ def test_implausible_pose_is_a_lost_frame(monkeypatch, eval_board, etl, base_int
     new_state, pose = rig.step(state, eval_board, dets, attempt=0)
     assert pose is None
     assert new_state == recovery_state(state, clean_profile, etl, 0)
+
+
+def test_a_corner_past_the_lens_fold_is_a_lost_frame(eval_board, etl, base_intr, clean_profile):
+    """With k1 = -0.5 the lens folds at distorted radius 0.544; the raster corner is at 0.6."""
+    folding = replace(clean_profile, entries=tuple(
+        replace(e, intrinsics=replace(e.intrinsics, k1=-0.5)) for e in clean_profile.entries))
+    rig = pipeline.Rig(etl=etl, base_intrinsics=base_intr, profile=folding,
+                       device_wh=(512, 512), detector="oracle")
+    state = ControllerState.initial(folding, etl)
+    dets = oracle_detect(eval_board, frontal_pose(150.0), base_intr, 0.0,
+                         NoiseModel(0.0, 0.0), 0)
+    corner = dets[0].corners - dets[0].corners.min(axis=0)  # moved to pixel (0, 0)
+    dets = [Detection(dets[0].marker_id, corner, 1.0)] + dets[1:]
+    new_state, pose = rig.step(state, eval_board, dets, attempt=0)
+    assert pose is None
+    assert new_state == recovery_state(state, folding, etl, 0)
 
 
 def test_recovery_state_cycles_profile_stations(etl, clean_profile):

@@ -34,15 +34,11 @@ from procamsim.scene import (
 
 
 def test_marker_roundtrip_all_ids_all_rotations():
+    """Each of the 1024 ids decodes to itself and to the quarter turns it was given."""
     for marker_id in range(1024):
         payload = encode_marker_bits(marker_id)[1:5, 1:5]
-        rotations_seen = set()
         for k in range(4):
-            decoded = decode_payload(np.rot90(payload, k))
-            assert decoded is not None, (marker_id, k)
-            assert decoded[0] == marker_id
-            rotations_seen.add(decoded[1])
-        assert rotations_seen == {0, 1, 2, 3}, marker_id
+            assert decode_payload(np.rot90(payload, k)) == (marker_id, k), (marker_id, k)
 
 
 def test_marker_border_black():

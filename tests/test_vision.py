@@ -124,6 +124,24 @@ def test_oracle_prism_reports_visible_faces_sorted(prism, etl, base_intr):
     assert ids == expected
 
 
+def test_oracle_skips_a_marker_seen_edge_on_and_keeps_the_noise_stream(prism, etl, base_intr):
+    """Turned 25 degrees about y, one face is seen at 85 degrees: too thin to be a Detection."""
+    pose = Pose(rotation_from_axis_angle(np.array([0.0, math.radians(25.0), 0.0])),
+                np.array([0.0, 0.0, 180.0]))
+    intr = intrinsics_at_power(etl, base_intr, 0.0)
+    visible = sorted(prism.marker_ids[k] for k in visible_faces(prism, pose))
+    ids = [d.marker_id for d in oracle_detect(prism, pose, intr, 0.0, NoiseModel(0.0, 0.0))]
+    assert len(ids) == len(visible) - 1 and set(ids) < set(visible)
+    # Every visible marker draws its noise in id order, the skipped one included.
+    rng = np.random.default_rng(np.random.SeedSequence([3, 0x0D]))
+    noise = {i: rng.normal(0.0, 0.2, (4, 2)) for i in visible}
+    dets = oracle_detect(prism, pose, intr, 0.0, NoiseModel(0.2, 0.0), seed=3)
+    assert [d.marker_id for d in dets] == ids
+    for d in dets:
+        truth, _ = project_many(intr, pose, marker_corners_3d(prism, d.marker_id))
+        assert np.array_equal(d.corners, truth + noise[d.marker_id])
+
+
 def test_oracle_agrees_with_detector_on_sharp_images(eval_board, etl, base_intr):
     power, _ = power_for_focus(etl, 150.0)
     pose = _tilted_pose(150.0, 15.0)
