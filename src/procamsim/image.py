@@ -43,9 +43,6 @@ class Image:
     def full(width: int, height: int, value: float, channels: int = 1) -> "Image":
         return Image.from_array(np.full((height, width, channels), value))
 
-    def plane(self, c: int = 0) -> np.ndarray:
-        return self.data[:, :, c]
-
     def gray(self) -> np.ndarray:
         """Channel-mean view used by intensity metrics."""
         if self.channels == 1:

@@ -63,6 +63,26 @@ ALBEDO_BLACK = 0.05
 DEFAULT_TEXTURE_PPM = 4.0
 
 
+def _check(rule: str = "finite", **values) -> None:
+    """Raise ValueError naming the first value that is not finite, or not ``rule``.
+
+    ``rule`` is "finite", "positive" or "non-negative".
+    """
+    for name, value in values.items():
+        if not math.isfinite(value) or (rule == "positive" and value <= 0.0) or (
+                rule == "non-negative" and value < 0.0):
+            what = "finite" if rule == "finite" else f"finite and {rule}"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_face(width_mm: float, height_mm: float, ppm: float) -> None:
+    """Raise ValueError unless the face size and texel density are finite and positive
+    and the face holds at least one texel each way."""
+    _check("positive", width_mm=width_mm, height_mm=height_mm, texture_ppm=ppm)
+    if round(width_mm * ppm) < 1 or round(height_mm * ppm) < 1:
+        raise ValueError(f"a {width_mm:g} x {height_mm:g} mm face holds no texel at {ppm:g}/mm")
+
+
 def _id_parity(marker_id: int) -> tuple[int, int]:
     bits = [(marker_id >> (9 - i)) & 1 for i in range(10)]
     return (
@@ -120,6 +140,7 @@ class FiducialMarker:
     bits: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        _check("positive", side_mm=self.side_mm)
         bits = self.bits if self.bits is not None else encode_marker_bits(self.id)
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (MARKER_CELLS, MARKER_CELLS):
@@ -163,11 +184,15 @@ class FiducialBoard:
 
     def __post_init__(self):
         w, h = self.extent_mm
+        _check_face(w, h, self.texture_ppm)
+        _check("non-negative", dot_radius_mm=self.dot_radius_mm)
         for p in self.markers:
+            _check(center_x_mm=p.center_mm[0], center_y_mm=p.center_mm[1], angle_rad=p.angle_rad)
             half = p.marker.side_mm / 2.0 * math.sqrt(2.0)
             if abs(p.center_mm[0]) + half > w / 2.0 or abs(p.center_mm[1]) + half > h / 2.0:
                 raise ValueError(f"marker {p.marker.id} exceeds the board extent")
         for dx, dy in self.reference_dots:
+            _check(dot_x_mm=dx, dot_y_mm=dy)
             if abs(dx) + self.dot_radius_mm > w / 2.0 or abs(dy) + self.dot_radius_mm > h / 2.0:
                 raise ValueError("reference dot exceeds the board extent")
             for p in self.markers:
@@ -259,6 +284,8 @@ class PrismTarget:
     _faces: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_face(self.face_width_mm, self.height_mm, self.texture_ppm)
+        _check("positive", marker_side_mm=self.marker_side_mm)
         if len(self.marker_ids) != 6 or len(set(self.marker_ids)) != 6:
             raise ValueError("prism needs six distinct marker ids")
         if self.marker_side_mm > min(self.face_width_mm, self.height_mm):
@@ -308,43 +335,44 @@ def rasterize_face_albedo(
 ) -> Image:
     """Draw markers and dots on a white face, 4x supersampled for soft edges.
 
-    Rasterizes in row strips to bound the supersampled working set.
+    Each marker is evaluated only on the samples of its box (centre plus or
+    minus its half-diagonal), each dot on its centre plus or minus radius box,
+    both widened by one sample; no sample outside its box can be inside.
     """
     ss = 4
     w_px = int(round(width_mm * ppm))
     h_px = int(round(height_mm * ppm))
     xs = (np.arange(w_px * ss) + 0.5) / (ppm * ss) - width_mm / 2.0
-    out = np.empty((h_px, w_px))
-    strip = 64
+    ys = (np.arange(h_px * ss) + 0.5) / (ppm * ss) - height_mm / 2.0
+    canvas = np.full((ys.size, xs.size), ALBEDO_WHITE)
 
-    for y0 in range(0, h_px, strip):
-        y1 = min(y0 + strip, h_px)
-        ys = (np.arange(y0 * ss, y1 * ss) + 0.5) / (ppm * ss) - height_mm / 2.0
-        gx, gy = np.meshgrid(xs, ys)
-        canvas = np.full(gx.shape, ALBEDO_WHITE)
+    def box(cx, cy, half):
+        r0, r1 = np.searchsorted(ys, (cy - half, cy + half))
+        c0, c1 = np.searchsorted(xs, (cx - half, cx + half))
+        return slice(max(r0 - 1, 0), r1 + 1), slice(max(c0 - 1, 0), c1 + 1)
 
-        for placement in markers:
-            marker = placement.marker
-            ca, sa = math.cos(placement.angle_rad), math.sin(placement.angle_rad)
-            dx = gx - placement.center_mm[0]
-            dy = gy - placement.center_mm[1]
-            lx = ca * dx + sa * dy
-            ly = -sa * dx + ca * dy
-            cell = marker.side_mm / MARKER_CELLS
-            col = np.floor(lx / cell + MARKER_CELLS / 2.0).astype(int)
-            row = np.floor(ly / cell + MARKER_CELLS / 2.0).astype(int)
-            inside = (col >= 0) & (col < MARKER_CELLS) & (row >= 0) & (row < MARKER_CELLS)
-            values = marker.bits[row.clip(0, 5), col.clip(0, 5)]
-            canvas = np.where(
-                inside, np.where(values > 0, ALBEDO_WHITE, ALBEDO_BLACK), canvas
-            )
+    for placement in markers:
+        marker = placement.marker
+        cx, cy = placement.center_mm
+        rows, cols = box(cx, cy, marker.side_mm / 2.0 * math.sqrt(2.0))
+        ca, sa = math.cos(placement.angle_rad), math.sin(placement.angle_rad)
+        dx, dy = xs[None, cols] - cx, ys[rows, None] - cy
+        lx = ca * dx + sa * dy
+        ly = -sa * dx + ca * dy
+        cell = marker.side_mm / MARKER_CELLS
+        col = np.floor(lx / cell + MARKER_CELLS / 2.0).astype(int)
+        row = np.floor(ly / cell + MARKER_CELLS / 2.0).astype(int)
+        inside = (col >= 0) & (col < MARKER_CELLS) & (row >= 0) & (row < MARKER_CELLS)
+        values = marker.bits[row.clip(0, 5), col.clip(0, 5)]
+        np.copyto(canvas[rows, cols], np.where(values > 0, ALBEDO_WHITE, ALBEDO_BLACK),
+                  where=inside)
 
-        for cx, cy in dots:
-            r2 = (gx - cx) ** 2 + (gy - cy) ** 2
-            canvas = np.where(r2 <= dot_radius_mm * dot_radius_mm, ALBEDO_BLACK, canvas)
+    for cx, cy in dots:
+        rows, cols = box(cx, cy, dot_radius_mm)
+        r2 = (xs[None, cols] - cx) ** 2 + (ys[rows, None] - cy) ** 2
+        canvas[rows, cols][r2 <= dot_radius_mm * dot_radius_mm] = ALBEDO_BLACK
 
-        out[y0:y1] = canvas.reshape(y1 - y0, ss, w_px, ss).mean(axis=(1, 3))
-    return Image.from_array(out)
+    return Image.from_array(canvas.reshape(h_px, ss, w_px, ss).mean(axis=(1, 3)))
 
 
 def marker_corners_3d(target, marker_id: int) -> np.ndarray:

@@ -319,6 +319,38 @@ def test_cmd_rejects_infinity_in_an_integer_field(workspace, capsys, file, path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["Infinity", "NaN"])
+@pytest.mark.parametrize("path", [
+    ["calibration_board", "extent_mm", 0],
+    ["calibration_board", "extent_mm", 1],
+    ["calibration_board", "markers", 0, "side_mm"],
+    ["calibration_board", "markers", 0, "center_mm", 0],
+    ["calibration_board", "markers", 4, "center_mm", 1],
+    ["calibration_board", "markers", 0, "angle_rad"],
+    ["evaluation_board", "reference_dots", 0, 0],
+    ["evaluation_board", "reference_dots", 3, 1],
+    ["evaluation_board", "dot_radius_mm"],
+    ["prism", "face_width_mm"],
+    ["prism", "height_mm"],
+    ["prism", "marker_side_mm"],
+], ids=lambda path: ".".join(map(str, path)))
+def test_cmd_rejects_a_non_finite_target_dimension(workspace, capsys, path, value):
+    """JSON ``Infinity`` or ``NaN`` in a target's size, place or angle: one line, exit 2."""
+    tmp_path, config, _ = workspace
+    scene = tmp_path / "scene.json"
+    doc = json.loads(scene.read_text())
+    node = doc["targets"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "frame.pgm"
+    code = main(["render", "--config", str(config), "--distance", "150", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cmd_render_and_psf(workspace, capsys):
     tmp_path, config, _ = workspace
     out = tmp_path / "frame.pgm"

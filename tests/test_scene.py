@@ -13,6 +13,8 @@ from procamsim.errors import (
 )
 from procamsim.geometry import Pose, rotation_from_axis_angle
 from procamsim.scene import (
+    ALBEDO_BLACK,
+    ALBEDO_WHITE,
     FiducialBoard,
     FiducialMarker,
     MarkerPlacement,
@@ -224,13 +226,110 @@ def test_board_rejects_dot_overlapping_marker():
 def test_board_albedo_contains_marker_and_dots():
     board = evaluation_board()
     face = board.faces()[0]
-    albedo = face.albedo.plane()
+    albedo = face.albedo.data[:, :, 0]
     # marker center cell and a reference dot should be darker than background
     cx, cy = face.texture_px(0.0, 0.0)
     dx, dy = face.texture_px(15.0, 15.0)
     bx, by = face.texture_px(-22.0, 0.0)
     assert albedo[int(dy), int(dx)] < 0.2
     assert albedo[int(by), int(bx)] > 0.8
+
+
+def _albedo_by_definition(width_mm, height_mm, markers, dots, dot_radius_mm, ppm):
+    """Every 4x4 sample of the face tested against every marker and dot, then box-averaged."""
+    w_px, h_px = int(round(width_mm * ppm)), int(round(height_mm * ppm))
+    gx, gy = np.meshgrid((np.arange(w_px * 4) + 0.5) / (ppm * 4) - width_mm / 2.0,
+                         (np.arange(h_px * 4) + 0.5) / (ppm * 4) - height_mm / 2.0)
+    canvas = np.full(gx.shape, ALBEDO_WHITE)
+    for p in markers:
+        ca, sa = math.cos(p.angle_rad), math.sin(p.angle_rad)
+        dx, dy = gx - p.center_mm[0], gy - p.center_mm[1]
+        cell = p.marker.side_mm / 6
+        col = np.floor((ca * dx + sa * dy) / cell + 3.0).astype(int)
+        row = np.floor((-sa * dx + ca * dy) / cell + 3.0).astype(int)
+        inside = (col >= 0) & (col < 6) & (row >= 0) & (row < 6)
+        white = p.marker.bits[row.clip(0, 5), col.clip(0, 5)] > 0
+        canvas[inside] = np.where(white, ALBEDO_WHITE, ALBEDO_BLACK)[inside]
+    for cx, cy in dots:
+        canvas[(gx - cx) ** 2 + (gy - cy) ** 2 <= dot_radius_mm * dot_radius_mm] = ALBEDO_BLACK
+    return canvas.reshape(h_px, 4, w_px, 4).mean(axis=(1, 3))
+
+
+def _rotated_off_centre_board(ppm):
+    return FiducialBoard(
+        markers=[
+            MarkerPlacement(FiducialMarker(3, 11.0), (-12.3, 4.71), 0.37),
+            MarkerPlacement(FiducialMarker(4, 9.5), (17.2, -9.9), -1.1),
+            MarkerPlacement(FiducialMarker(5), (21.0, 14.7), 2.5),
+        ],
+        reference_dots=[(-27.1, -20.3), (5.0, -21.0), (-28.0, 21.3)],
+        extent_mm=(61.3, 47.9), dot_radius_mm=2.6, texture_ppm=ppm,
+    )
+
+
+def _board_touching_its_extent():
+    """A marker turned 45 degrees whose corner, and two dots whose rims, meet the edge."""
+    half_diagonal = 13.0 / 2.0 * math.sqrt(2.0)
+    return FiducialBoard(
+        markers=[MarkerPlacement(FiducialMarker(7), (20.0 - half_diagonal, 0.0), math.pi / 4)],
+        reference_dots=[(-18.0, 18.0), (0.0, -18.0)],
+        extent_mm=(40.0, 40.0),
+    )
+
+
+_SHIPPED_TARGETS = load_scene(Path(__file__).resolve().parents[1] / "configs" / "scene.json")
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param(_rotated_off_centre_board(4.0), id="rotated-off-centre"),
+    pytest.param(_rotated_off_centre_board(3.3), id="rotated-off-centre-ppm-3.3"),
+    pytest.param(_board_touching_its_extent(), id="touching-the-extent"),
+    pytest.param(PrismTarget(marker_side_mm=18.0, texture_ppm=3.3), id="marker-cut-by-its-face"),
+    *(pytest.param(t, id=f"scene-{name}") for name, t in _SHIPPED_TARGETS.items()),
+])
+def test_albedo_equals_the_per_sample_definition(target):
+    dots = getattr(target, "reference_dots", [])
+    radius = getattr(target, "dot_radius_mm", 0.0)
+    for face in target.faces():
+        expected = _albedo_by_definition(face.width_mm, face.height_mm, face.markers,
+                                         dots, radius, face.ppm)
+        assert np.array_equal(face.albedo.data[:, :, 0], expected)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: FiducialMarker(1, side_mm=0.0), id="marker-side-zero"),
+    pytest.param(lambda: FiducialMarker(1, side_mm=-13.0), id="marker-side-negative"),
+    pytest.param(lambda: FiducialBoard([], [], (0.0, 60.0)), id="board-width-zero"),
+    pytest.param(lambda: FiducialBoard([], [], (60.0, -1.0)), id="board-height-negative"),
+    pytest.param(lambda: FiducialBoard([], [], (60.0, 60.0), texture_ppm=0.0), id="board-ppm-zero"),
+    pytest.param(lambda: FiducialBoard([], [], (60.0, 60.0), texture_ppm=math.inf),
+                 id="board-ppm-infinite"),
+    pytest.param(lambda: FiducialBoard([], [(0.0, 0.0)], (60.0, 60.0), dot_radius_mm=-1.0),
+                 id="dot-radius-negative"),
+    pytest.param(lambda: PrismTarget(face_width_mm=0.0), id="prism-width-zero"),
+    pytest.param(lambda: PrismTarget(height_mm=-20.0), id="prism-height-negative"),
+    pytest.param(lambda: PrismTarget(marker_side_mm=-1.0), id="prism-marker-side-negative"),
+    pytest.param(lambda: PrismTarget(texture_ppm=math.nan), id="prism-ppm-nan"),
+])
+def test_targets_reject_non_positive_or_non_finite_sizes(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: FiducialBoard([], [], (0.1, 60.0)), id="board"),
+    pytest.param(lambda: PrismTarget(face_width_mm=20.0, height_mm=0.1, marker_side_mm=0.05),
+                 id="prism"),
+])
+def test_a_face_smaller_than_one_texel_is_rejected(make):
+    """At 4 texels per mm, 0.1 mm rounds to no texel; the albedo would be empty."""
+    with pytest.raises(ValueError, match="holds no texel"):
+        make()
+
+
+def test_board_accepts_dots_of_zero_radius():
+    board = FiducialBoard([], [(0.0, 0.0)], (20.0, 20.0), dot_radius_mm=0.0)
+    assert np.array_equal(board.faces()[0].albedo.data, np.full((80, 80, 1), ALBEDO_WHITE))
 
 
 def test_scene_json_round_trip(tmp_path):
