@@ -9,7 +9,6 @@ intrinsics for any drive current.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .errors import (
     NonPositiveDefinite,
     ProcamError,
     SchemaError,
+    check,
 )
 from .geometry import (
     Homography,
@@ -36,13 +36,15 @@ from .geometry import (
 from .imaging import CAPTURE_SUPERSAMPLE, DEFAULT_SENSOR_SIGMA, _undistorted_grid
 from .optim import levenberg_marquardt
 from .optics import EtlModel, current_for_power, intrinsics_at_power, power_for_focus
-from .scene import marker_corners_3d, write_object
+from .scene import _naming, _read_object, marker_corners_3d, write_object
 from .vision import NoiseModel, oracle_detect
 
 MIN_CORRESPONDENCES = 16
 MIN_VIEWS = 3
 VIEWS_PER_STATION = 8
 MAX_TILT_DEG = 30.0
+# The Intrinsics a profile entry stores, in the order its document lists them.
+_INTRINSIC_FIELDS = ("fx", "fy", "cx", "cy", "k1", "k2")
 
 
 @dataclass
@@ -184,8 +186,8 @@ class ProfileEntry:
     rms_px: float
 
     def __post_init__(self):
-        if self.rms_px < 0:
-            raise ValueError("rms must be non-negative")
+        check(power_d=self.power_d, current_ma=self.current_ma)
+        check("non-negative", rms_px=self.rms_px)
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,7 @@ def interpolate(profile: IntrinsicProfile, power: float) -> tuple[Intrinsics, bo
     clamped = power < powers[0] or power > powers[-1]
     p = min(max(power, powers[0]), powers[-1])
     fields = {}
-    for name in ("fx", "fy", "cx", "cy", "k1", "k2"):
+    for name in _INTRINSIC_FIELDS:
         values = np.array([getattr(e.intrinsics, name) for e in profile.entries])
         fields[name] = float(np.interp(p, powers, values))
     return Intrinsics(**fields), clamped
@@ -368,12 +370,7 @@ def save_profile(profile: IntrinsicProfile, path) -> None:
             {
                 "power_d": e.power_d,
                 "current_ma": e.current_ma,
-                "fx": e.intrinsics.fx,
-                "fy": e.intrinsics.fy,
-                "cx": e.intrinsics.cx,
-                "cy": e.intrinsics.cy,
-                "k1": e.intrinsics.k1,
-                "k2": e.intrinsics.k2,
+                **{name: getattr(e.intrinsics, name) for name in _INTRINSIC_FIELDS},
                 "rms_px": e.rms_px,
             }
             for e in profile.entries
@@ -382,47 +379,18 @@ def save_profile(profile: IntrinsicProfile, path) -> None:
     write_object(path, doc, "profile")
 
 
-_ENTRY_FIELDS = ("power_d", "current_ma", "fx", "fy", "cx", "cy", "k1", "k2", "rms_px")
-
-
 def load_profile(path) -> IntrinsicProfile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read profile {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"profile {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"profile {path} is not a JSON object")
+    doc = _read_object(path, "profile", SchemaError, unreadable=IoError)
     if doc.get("version") != PROFILE_VERSION:
         raise SchemaError(f"unsupported profile version {doc.get('version')!r}")
-    device = doc.get("device")
-    if not isinstance(device, dict) or "width" not in device or "height" not in device:
-        raise SchemaError("profile is missing the device raster")
-    raw_entries = doc.get("entries")
-    if not isinstance(raw_entries, list):
-        raise SchemaError("profile is missing entries")
-    entries = []
-    for raw in raw_entries:
-        if not isinstance(raw, dict):
-            raise SchemaError(f"profile entry {raw!r} is not an object")
-        if any(field not in raw for field in _ENTRY_FIELDS):
-            missing = [f for f in _ENTRY_FIELDS if f not in raw]
-            raise SchemaError(f"profile entry missing fields {missing}")
-        try:
-            intr = Intrinsics(fx=float(raw["fx"]), fy=float(raw["fy"]),
-                              cx=float(raw["cx"]), cy=float(raw["cy"]),
-                              k1=float(raw["k1"]), k2=float(raw["k2"]))
-            entries.append(ProfileEntry(float(raw["power_d"]), float(raw["current_ma"]),
-                                        intr, float(raw["rms_px"])))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"invalid profile entry: {exc}") from exc
-    try:
+    with _naming(f"profile {path}", SchemaError):
         return IntrinsicProfile(
-            entries=tuple(entries),
-            device_wh=(int(device["width"]), int(device["height"])),
+            entries=tuple(
+                ProfileEntry(float(raw["power_d"]), float(raw["current_ma"]),
+                             Intrinsics(**{f: float(raw[f]) for f in _INTRINSIC_FIELDS}),
+                             float(raw["rms_px"]))
+                for raw in doc["entries"]
+            ),
+            device_wh=(int(doc["device"]["width"]), int(doc["device"]["height"])),
             etl_hash=str(doc.get("etl_hash", "")),
         )
-    except (InsufficientStations, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"invalid profile {path}: {exc}") from exc

@@ -6,15 +6,14 @@ the config seed, so identical configs give identical outputs.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, check
 from .geometry import Intrinsics
 from .imaging import DEFAULT_SENSOR_SIGMA, ExternalCamera, default_external_camera
 from .optics import EtlModel
 from .pipeline import EMA_ALPHA, SETTLE_STEPS, DpmSetup, EvalSetup, Rig
-from .scene import WORKING_RANGE_MM, _read_object
+from .scene import WORKING_RANGE_MM, _naming, _read_object
 from .vision import _MIN_IMAGE_PX, NoiseModel
 
 DETECTOR_MODES = ("image", "oracle")
@@ -58,49 +57,25 @@ class RunConfig:
     external_camera: ExternalCamera = field(default_factory=default_external_camera)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check("non-negative", seed=self.seed, sensor_sigma=self.sensor_sigma)
+        check("positive", settle_steps=self.settle_steps, dpm_frames=self.dpm_frames,
+              wiener_nsr=self.wiener_nsr)
+        check(eval_tilt_deg=self.eval_tilt_deg)
         if min(self.device_wh) < _MIN_IMAGE_PX:
-            raise ConfigError(f"device width and height must be at least {_MIN_IMAGE_PX} px, "
-                              f"got {self.device_wh[0]}x{self.device_wh[1]}")
+            raise ValueError(f"device width and height must be at least {_MIN_IMAGE_PX} px, "
+                             f"got {self.device_wh[0]}x{self.device_wh[1]}")
         if self.detector not in DETECTOR_MODES:
-            raise ConfigError(f"detector must be one of {DETECTOR_MODES}")
+            raise ValueError(f"detector must be one of {DETECTOR_MODES}")
         if not self.stations:
-            raise ConfigError("stations list is empty")
+            raise ValueError("stations list is empty")
         lo, hi = WORKING_RANGE_MM
         for z in self.stations:
             if not (lo <= z <= hi):
-                raise ConfigError(f"station {z} mm outside the {lo:g}..{hi:g} mm working range")
-        if self.settle_steps < 1:
-            raise ConfigError(f"settle_steps must be at least 1, got {self.settle_steps}")
-        if self.dpm_frames < 1:
-            raise ConfigError(f"dpm_frames must be at least 1, got {self.dpm_frames}")
-        if not self.wiener_nsr > 0.0:
-            raise ConfigError(f"wiener_nsr must be positive, got {self.wiener_nsr}")
+                raise ValueError(f"station {z} mm outside the {lo:g}..{hi:g} mm working range")
         if not 0.0 < self.ema_alpha <= 1.0:
-            raise ConfigError(f"ema_alpha must lie in (0, 1], got {self.ema_alpha}")
-        if not self.sensor_sigma >= 0.0:
-            raise ConfigError(f"sensor_sigma must be non-negative, got {self.sensor_sigma}")
+            raise ValueError(f"ema_alpha must lie in (0, 1], got {self.ema_alpha}")
         if not 0.0 <= self.ambient <= 1.0:
-            raise ConfigError(f"ambient must lie in [0, 1], got {self.ambient}")
-
-
-def _get(doc: dict, key: str, kind):
-    if key not in doc:
-        raise ConfigError(f"config is missing required key {key!r}")
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-@contextmanager
-def _naming(what: str):
-    """Report a malformed value inside the block as a ConfigError naming ``what``."""
-    try:
-        yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+            raise ValueError(f"ambient must lie in [0, 1], got {self.ambient}")
 
 
 def _device(dev: dict) -> dict:
@@ -117,35 +92,35 @@ def load_config(path) -> RunConfig:
     spells out; keys it does not know are ignored.
     """
     doc = _read_object(path, "config", ConfigError)
-    seed = _get(doc, "seed", int)
-    defaults = default_config_document()
-    with _naming("device block"):
-        device = _device({**_DEVICE, **doc.get("device", {})})
-    with _naming("etl block"):
-        etl_doc = {**defaults["etl"], **doc.get("etl", {})}
-        etl = EtlModel(**{name: float(etl_doc[key]) for key, name in _ETL_KEYS.items()})
-    scene_path = _get(doc, "scene", str)
+    with _naming("config", ConfigError):
+        seed, scene_path = int(doc["seed"]), str(doc["scene"])
     if not os.path.isfile(scene_path):
         raise ConfigError(f"scene file {scene_path!r} does not exist")
+    defaults = default_config_document()
+    with _naming("device block", ConfigError):
+        device = _device({**_DEVICE, **doc.get("device", {})})
+        device_wh = (device.pop("width"), device.pop("height"))
+        base_intrinsics = Intrinsics(**device)
+    with _naming("etl block", ConfigError):
+        etl_doc = {**defaults["etl"], **doc.get("etl", {})}
+        etl = EtlModel(**{name: float(etl_doc[key]) for key, name in _ETL_KEYS.items()})
     doc = {**defaults, **doc}
-    with _naming("stations_mm"):
-        stations = [float(z) for z in doc["stations_mm"]]
-    with _naming("noise block"):
+    with _naming("noise block", ConfigError):
         noise = {**defaults["noise"], **doc["noise"]}
         sensor_sigma = float(noise["sensor_sigma"])
         corner_noise = NoiseModel(**{name: float(noise[key]) for key, name in _NOISE_KEYS.items()})
-
-    return RunConfig(
-        seed=seed,
-        device_wh=(device.pop("width"), device.pop("height")),
-        base_intrinsics=Intrinsics(**device),
-        etl=etl,
-        scene_path=scene_path,
-        stations=stations,
-        sensor_sigma=sensor_sigma,
-        corner_noise=corner_noise,
-        **{key: _get(doc, key, type(default)) for key, default in _RUN.items()},
-    )
+    with _naming("config", ConfigError):
+        return RunConfig(
+            seed=seed,
+            device_wh=device_wh,
+            base_intrinsics=base_intrinsics,
+            etl=etl,
+            scene_path=scene_path,
+            stations=[float(z) for z in doc["stations_mm"]],
+            sensor_sigma=sensor_sigma,
+            corner_noise=corner_noise,
+            **{key: type(default)(doc[key]) for key, default in _RUN.items()},
+        )
 
 
 def default_config_document(scene_path: str = "scene.json") -> dict:

@@ -3,6 +3,20 @@
 Every failure mode raised by the library derives from ProcamError so callers
 can catch the whole family at a pipeline boundary.
 """
+import math
+
+
+def check(rule: str = "finite", **values) -> None:
+    """Raise ValueError naming the first value that is not finite, or not ``rule``.
+
+    ``rule`` is "finite", "positive" or "non-negative". The comparisons hold
+    for an integer of any size, which ``math.isfinite`` cannot convert.
+    """
+    for name, value in values.items():
+        if not -math.inf < value < math.inf or (rule == "positive" and value <= 0.0) or (
+                rule == "non-negative" and value < 0.0):
+            what = "finite" if rule == "finite" else f"finite and {rule}"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class ProcamError(Exception):
@@ -47,7 +61,7 @@ class CurrentOutOfRange(ProcamError):
 
 # --- scene ------------------------------------------------------------------
 
-class UnknownMarkerId(ProcamError):
+class UnknownMarkerId(ProcamError, ValueError):
     """Marker id is not part of the target."""
 
 
@@ -103,7 +117,7 @@ class NonFiniteCost(ProcamError):
     """Least-squares cost became NaN or infinite."""
 
 
-class InsufficientStations(ProcamError):
+class InsufficientStations(ProcamError, ValueError):
     """A usable focus profile needs at least two calibration stations."""
 
 

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateConfiguration,
     PointAtInfinity,
     PointBehindCamera,
+    check,
 )
 
 MIN_DEPTH_MM = 1e-6
@@ -51,15 +52,12 @@ class Intrinsics:
     k2: float = 0.0
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        check("positive", fx=self.fx, fy=self.fy)
+        check(cx=self.cx, cy=self.cy)
         if self.skew != 0.0:
             raise ValueError("skew is fixed at zero")
         if not (abs(self.k1) < 1 and abs(self.k2) < 1):
-            raise ValueError("|k1| and |k2| must be < 1")
-        for v in (self.fx, self.fy, self.cx, self.cy):
-            if not math.isfinite(v):
-                raise ValueError("intrinsics must be finite")
+            raise ValueError(f"|k1| and |k2| must be < 1, got {self.k1!r} and {self.k2!r}")
 
     def matrix(self) -> np.ndarray:
         return np.array(
@@ -200,7 +198,9 @@ def undistort_many(intr: Intrinsics, pd: np.ndarray) -> np.ndarray:
     r = r_d. Each point stops on its own, once its step falls to the last bit
     of r or stops shrinking, so any part of a grid gets the bytes it has in
     the whole, and a pinhole lens gets its input back. A point at or past the
-    fold (``distortion_fold``) has no ray: NaN.
+    fold (``distortion_fold``) has no ray: NaN. On a folding lens a Newton step
+    can cross the fold onto the far branch, so a radius outside [0, fold] or
+    off the model by more than 1e-12 relative is found again by bisection.
     """
     pd = np.asarray(pd, dtype=float)
     rd = np.sqrt(pd[..., 0] * pd[..., 0] + pd[..., 1] * pd[..., 1])
@@ -209,7 +209,7 @@ def undistort_many(intr: Intrinsics, pd: np.ndarray) -> np.ndarray:
     flat, r = rd.reshape(-1), np.full(rd.size, np.nan)
     k1, k2 = intr.k1, intr.k2
     for lo in range(0, rd.size, NEWTON_BLOCK):
-        todo = lo + np.flatnonzero(flat[lo:lo + NEWTON_BLOCK] < reach)
+        todo = reached = lo + np.flatnonzero(flat[lo:lo + NEWTON_BLOCK] < reach)
         ra = target = flat[todo]
         last = math.inf
         while todo.size:
@@ -222,8 +222,28 @@ def undistort_many(intr: Intrinsics, pd: np.ndarray) -> np.ndarray:
                 r[todo] = ra
                 todo, ra, target, step = todo[go], ra[go], target[go], step[go]
             last = step
+        if fold:
+            ra, target = r[reached], flat[reached]
+            miss = np.abs(ra * (1.0 + ra * ra * (k1 + k2 * ra * ra)) - target) > 1e-12 * target
+            lost = reached[miss | ~((ra >= 0.0) & (ra <= fold[0]))]
+            r[lost] = _bisect_radius(k1, k2, fold[0], flat[lost])
     scale = np.divide(r.reshape(rd.shape), rd, out=np.ones_like(rd), where=rd > 0.0)
     return pd * scale[..., None]
+
+
+def _bisect_radius(k1: float, k2: float, r_fold: float, target: np.ndarray) -> np.ndarray:
+    """The radius in [0, r_fold], where the radial model rises, that maps to each ``target``.
+
+    Each point halves its bracket until the midpoint rounds to an end, which
+    the next step then keeps: the bits do not depend on the other points.
+    """
+    lo, hi = np.zeros_like(target), np.full_like(target, r_fold)
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        up = mid * (1.0 + mid * mid * (k1 + k2 * mid * mid)) < target
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _normalizing_similarity(points: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .errors import (
     FocusBeyondInfinity,
     NonPositiveDistance,
     PowerOutOfRange,
+    check,
 )
 from .geometry import Intrinsics
 from .image import Image
@@ -53,12 +54,11 @@ class EtlModel:
     breathing_gamma: float = 0.5
 
     def __post_init__(self):
-        if not self.z0 > 0:
-            raise ValueError("z0 must be positive")
+        check(**vars(self))
+        check("positive", z0=self.z0)
+        check("non-negative", blur_gain=self.blur_gain)
         if not self.power_min < self.power_max:
             raise ValueError("power range is empty")
-        if self.blur_gain < 0:
-            raise ValueError("blur_gain must be non-negative")
         if self.current_gain == 0:
             raise ValueError("current_gain must be nonzero")
 

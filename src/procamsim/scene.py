@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     SceneFormatError,
     TimeOutOfRange,
     UnknownMarkerId,
+    check,
 )
 from .geometry import Pose, axis_angle_from_rotation, rotation_from_axis_angle
 from .image import Image
@@ -63,22 +65,10 @@ ALBEDO_BLACK = 0.05
 DEFAULT_TEXTURE_PPM = 4.0
 
 
-def _check(rule: str = "finite", **values) -> None:
-    """Raise ValueError naming the first value that is not finite, or not ``rule``.
-
-    ``rule`` is "finite", "positive" or "non-negative".
-    """
-    for name, value in values.items():
-        if not math.isfinite(value) or (rule == "positive" and value <= 0.0) or (
-                rule == "non-negative" and value < 0.0):
-            what = "finite" if rule == "finite" else f"finite and {rule}"
-            raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
 def _check_face(width_mm: float, height_mm: float, ppm: float) -> None:
     """Raise ValueError unless the face size and texel density are finite and positive
     and the face holds at least one texel each way."""
-    _check("positive", width_mm=width_mm, height_mm=height_mm, texture_ppm=ppm)
+    check("positive", width_mm=width_mm, height_mm=height_mm, texture_ppm=ppm)
     if round(width_mm * ppm) < 1 or round(height_mm * ppm) < 1:
         raise ValueError(f"a {width_mm:g} x {height_mm:g} mm face holds no texel at {ppm:g}/mm")
 
@@ -140,7 +130,7 @@ class FiducialMarker:
     bits: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        _check("positive", side_mm=self.side_mm)
+        check("positive", side_mm=self.side_mm)
         bits = self.bits if self.bits is not None else encode_marker_bits(self.id)
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (MARKER_CELLS, MARKER_CELLS):
@@ -185,14 +175,14 @@ class FiducialBoard:
     def __post_init__(self):
         w, h = self.extent_mm
         _check_face(w, h, self.texture_ppm)
-        _check("non-negative", dot_radius_mm=self.dot_radius_mm)
+        check("non-negative", dot_radius_mm=self.dot_radius_mm)
         for p in self.markers:
-            _check(center_x_mm=p.center_mm[0], center_y_mm=p.center_mm[1], angle_rad=p.angle_rad)
+            check(center_x_mm=p.center_mm[0], center_y_mm=p.center_mm[1], angle_rad=p.angle_rad)
             half = p.marker.side_mm / 2.0 * math.sqrt(2.0)
             if abs(p.center_mm[0]) + half > w / 2.0 or abs(p.center_mm[1]) + half > h / 2.0:
                 raise ValueError(f"marker {p.marker.id} exceeds the board extent")
         for dx, dy in self.reference_dots:
-            _check(dot_x_mm=dx, dot_y_mm=dy)
+            check(dot_x_mm=dx, dot_y_mm=dy)
             if abs(dx) + self.dot_radius_mm > w / 2.0 or abs(dy) + self.dot_radius_mm > h / 2.0:
                 raise ValueError("reference dot exceeds the board extent")
             for p in self.markers:
@@ -285,9 +275,10 @@ class PrismTarget:
 
     def __post_init__(self):
         _check_face(self.face_width_mm, self.height_mm, self.texture_ppm)
-        _check("positive", marker_side_mm=self.marker_side_mm)
-        if len(self.marker_ids) != 6 or len(set(self.marker_ids)) != 6:
-            raise ValueError("prism needs six distinct marker ids")
+        check("positive", marker_side_mm=self.marker_side_mm)
+        if len(self.marker_ids) != 6 or len(set(self.marker_ids)) != 6 or not all(
+                0 <= i <= MAX_MARKER_ID for i in self.marker_ids):
+            raise ValueError(f"prism needs six distinct marker ids in 0..{MAX_MARKER_ID}")
         if self.marker_side_mm > min(self.face_width_mm, self.height_mm):
             raise ValueError("marker does not fit on a face")
 
@@ -421,6 +412,7 @@ class Trajectory:
         if len(frames) < 2:
             raise ValueError("trajectory needs at least two keyframes")
         times = [t for t, _ in frames]
+        check(**{f"keyframe {i} time": t for i, t in enumerate(times)})
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("keyframe times must be strictly increasing")
         object.__setattr__(self, "keyframes", frames)
@@ -469,18 +461,29 @@ def hex_prism() -> PrismTarget:
 
 # --- JSON loading ------------------------------------------------------------
 
-def _read_object(path, what: str, error=SceneFormatError) -> dict:
-    """The JSON object in file ``path``; any other content raises ``error`` naming ``what``."""
+def _read_object(path, what: str, error=SceneFormatError, unreadable=None) -> dict:
+    """The JSON object in file ``path``; any other content raises ``error`` naming ``what``,
+    and a file that cannot be read raises ``unreadable`` (by default ``error``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise (unreadable or error)(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{what} {path} must hold a JSON object")
     return doc
+
+
+@contextmanager
+def _naming(what: str, error=SceneFormatError):
+    """Report a missing or malformed value inside the block as ``error`` naming ``what``."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise error(f"bad {what}: {detail}") from exc
 
 
 def write_object(path, doc: dict, what: str) -> None:
@@ -499,7 +502,7 @@ def _given(doc: dict, **kinds) -> dict:
 
 
 def _board_from_dict(doc: dict) -> FiducialBoard:
-    try:
+    with _naming("board document"):
         markers = [
             MarkerPlacement(
                 FiducialMarker(int(m["id"]), **_given(m, side_mm=float)),
@@ -514,18 +517,14 @@ def _board_from_dict(doc: dict) -> FiducialBoard:
             extent_mm=(float(doc["extent_mm"][0]), float(doc["extent_mm"][1])),
             **_given(doc, dot_radius_mm=float),
         )
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise SceneFormatError(f"bad board document: {exc}") from exc
 
 
 def _prism_from_dict(doc: dict) -> PrismTarget:
-    try:
+    with _naming("prism document"):
         return PrismTarget(**_given(
             doc, face_width_mm=float, height_mm=float,
             marker_ids=lambda ids: tuple(int(i) for i in ids), marker_side_mm=float,
         ))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SceneFormatError(f"bad prism document: {exc}") from exc
 
 
 def load_target(doc: dict):
@@ -575,8 +574,8 @@ def default_scene_document() -> dict:
 def load_trajectory(path) -> Trajectory:
     """Load {"keyframes": [{"t": s, "translation": [mm x3], "axis_angle": [rad x3]}]}."""
     doc = _read_object(path, "trajectory file")
-    try:
-        frames = tuple(
+    with _naming("trajectory document"):
+        return Trajectory(tuple(
             (
                 float(k["t"]),
                 Pose(
@@ -585,10 +584,4 @@ def load_trajectory(path) -> Trajectory:
                 ),
             )
             for k in doc["keyframes"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SceneFormatError(f"bad trajectory document: {exc}") from exc
-    try:
-        return Trajectory(frames)
-    except ValueError as exc:
-        raise SceneFormatError(str(exc)) from exc
+        ))

@@ -19,6 +19,7 @@ from .errors import (
     DegenerateConfiguration,
     InsufficientPoints,
     NoKnownMarkers,
+    check,
 )
 from .geometry import (
     Intrinsics,
@@ -69,8 +70,7 @@ class NoiseModel:
     eta: float = 0.1
 
     def __post_init__(self):
-        if self.sigma0 < 0 or self.eta < 0:
-            raise ValueError("noise parameters must be non-negative")
+        check("non-negative", sigma0=self.sigma0, eta=self.eta)
 
     def sigma(self, blur_radius_px: float) -> float:
         return self.sigma0 + self.eta * blur_radius_px

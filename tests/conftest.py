@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from procamsim.calibration import sweep_calibrate
 from procamsim.geometry import Intrinsics, Pose
@@ -9,6 +10,11 @@ from procamsim.vision import NoiseModel
 
 STATIONS = [70.0, 90.0, 110.0, 130.0, 150.0, 170.0, 190.0, 210.0, 230.0, 250.0]
 DEVICE_WH = (512, 512)
+
+# Every property test draws the same examples on every run, so a pipeline
+# check cannot pass or fail on the luck of a draw.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -438,6 +438,13 @@ def test_profile_load_rejects_bad_version(tmp_path, clean_profile):
         load_profile(path)
 
 
+def _with_nan(doc: dict, i: int, field: str) -> dict:
+    """``doc`` with NaN in ``field`` of entry ``i`` (a negative ``i`` counts from the end)."""
+    entries = [dict(e) for e in doc["entries"]]
+    entries[i][field] = float("nan")
+    return {**doc, "entries": entries}
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda doc: [], id="document-is-a-list"),
     pytest.param(lambda doc: {**doc, "entries": [5, *doc["entries"]]}, id="entry-is-a-number"),
@@ -447,6 +454,11 @@ def test_profile_load_rejects_bad_version(tmp_path, clean_profile):
                  id="width-is-text"),
     pytest.param(lambda doc: {**doc, "device": {"width": float("inf"), "height": 512}},
                  id="width-is-infinite"),
+    pytest.param(lambda doc: {**doc, "entries": doc["entries"][:1]}, id="one-entry"),
+    *(pytest.param(lambda doc, i=i, field=field: _with_nan(doc, i, field),
+                   id=f"entry-{i}-{field}-is-nan")
+      for i, field in [(0, "power_d"), (-1, "power_d"), (4, "power_d"),
+                       (4, "current_ma"), (4, "rms_px")]),
 ])
 def test_profile_load_rejects_malformed_documents_with_schema_error(tmp_path, clean_profile,
                                                                     edit):

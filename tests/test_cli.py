@@ -1,19 +1,23 @@
+import copy
 import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procamsim import imaging
-from procamsim.calibration import load_profile
+from procamsim.calibration import load_profile, save_profile
 from procamsim.cli import main
-from procamsim.config import default_config_document, load_config
-from procamsim.errors import ConfigError
+from procamsim.config import _ETL_KEYS, _NOISE_KEYS, default_config_document, load_config
+from procamsim.errors import ConfigError, SceneFormatError, SchemaError
 from procamsim.optics import EtlModel
 from procamsim.pipeline import DpmSetup, EvalSetup, Rig
-from procamsim.scene import default_scene_document
+from procamsim.scene import default_scene_document, load_scene, load_trajectory
 from procamsim.vision import NoiseModel
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -273,9 +277,21 @@ def test_cmd_dpm_empty_trajectory_exits_2(workspace):
     ("noise.sensor_sigma", -0.01),
     ("ambient", -0.1),
     ("ambient", 1.5),
+    ("device.fx", -1),
+    ("device.cx", math.nan),
+    ("device.k1", 1.5),
+    ("etl.blur_gain_px_mm", math.nan),
+    ("etl.breathing_beta", math.nan),
+    ("etl.breathing_gamma", math.nan),
+    ("etl.current_gain_d_per_ma", math.nan),
+    ("etl.chroma_offset_d", math.nan),
+    ("noise.corner_sigma0", math.nan),
+    ("noise.corner_eta", math.nan),
+    ("eval_tilt_deg", math.nan),
 ])
 def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, value):
-    """``key`` may name a field inside a block, as ``block.field``."""
+    """``key`` may name a field inside a block, as ``block.field``; the error names
+    the model field that a lens or noise key sets."""
     tmp_path, config, traj = workspace
     profile = tmp_path / "profile.json"
     assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
@@ -292,8 +308,37 @@ def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, v
                  "--trajectory", str(traj), "--out-dir", str(out_dir)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and key in err
+    assert err.count("\n") == 1 and {**_ETL_KEYS, **_NOISE_KEYS}.get(key, key) in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 10 ** 400], ids=["NaN", "Infinity", "huge"])
+def test_cmd_dpm_rejects_a_bad_keyframe_time_before_output(workspace, capsys, t):
+    tmp_path, config, traj = workspace
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
+    doc = json.loads(traj.read_text())
+    doc["keyframes"][-1]["t"] = t
+    traj.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out_dir = tmp_path / "run"
+    code = main(["dpm", "--config", str(config), "--profile", str(profile),
+                 "--trajectory", str(traj), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_cmd_rejects_an_integer_past_the_digit_limit(workspace, capsys):
+    """Python refuses to parse an integer of more than 4300 digits: one line, exit 2."""
+    tmp_path, config, _ = workspace
+    doc = json.loads(config.read_text())
+    config.write_text(json.dumps(doc).replace(f'"seed": {doc["seed"]}', '"seed": ' + "9" * 5000))
+    out = tmp_path / "frame.pgm"
+    code = main(["render", "--config", str(config), "--distance", "150", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("file, path, value", [
@@ -302,9 +347,14 @@ def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, v
     ("config.json", ["device", "width"], math.inf),
     ("scene.json", ["targets", "calibration_board", "markers", 0, "id"], math.inf),
     ("scene.json", ["targets", "prism", "marker_ids"], [math.inf, 1, 2, 3, 4, 5]),
+    ("scene.json", ["targets", "calibration_board", "markers", 0, "id"], -1),
+    ("scene.json", ["targets", "calibration_board", "markers", 0, "id"], 1024),
+    ("scene.json", ["targets", "prism", "marker_ids"], [-1, 1, 2, 3, 4, 5]),
+    ("scene.json", ["targets", "prism", "marker_ids"], [1024, 1, 2, 3, 4, 5]),
 ])
 def test_cmd_rejects_infinity_in_an_integer_field(workspace, capsys, file, path, value):
-    """JSON ``Infinity`` is a float that no integer holds: one line, exit 2."""
+    """JSON ``Infinity``, which no integer holds, or a marker id outside the 10-bit code:
+    one line, exit 2."""
     tmp_path, config, _ = workspace
     doc = json.loads((tmp_path / file).read_text())
     node = doc
@@ -443,3 +493,57 @@ def test_cmd_dpm_prism_leaving_the_view_loses_frames_not_the_run(workspace):
                  "--trajectory", str(sideways), "--out-dir", str(out_dir)])
     assert code in (0, 4)
     assert len((out_dir / "metrics.csv").read_text().splitlines()) == 5
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory, clean_profile):
+    """Name -> (file to write, a valid document, its loader, the loader's typed error)."""
+    root = tmp_path_factory.mktemp("documents")
+    scene = root / "scene.json"
+    scene.write_text(json.dumps(default_scene_document()))
+    profile = root / "profile.json"
+    save_profile(clean_profile, profile)
+    return {
+        "config": (root / "config.json", default_config_document(str(scene)),
+                   load_config, ConfigError),
+        "scene": (root / "edited_scene.json", default_scene_document(),
+                  load_scene, SceneFormatError),
+        "profile": (root / "edited_profile.json", json.loads(profile.read_text()),
+                    load_profile, SchemaError),
+        "trajectory": (root / "trajectory.json",
+                       json.loads((REPO / "configs" / "trajectory.json").read_text()),
+                       load_trajectory, SceneFormatError),
+    }
+
+
+def _leaves(node, path=()):
+    """The path to every value of a JSON document that is neither a list nor an object."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path
+
+
+_SCALARS = (st.none() | st.booleans() | st.text(max_size=6) | st.just(10 ** 400)
+            | st.integers(-10 ** 400, 10 ** 400) | st.floats())
+_JSON_VALUES = (_SCALARS | st.lists(_SCALARS, max_size=3)
+                | st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_document_with_any_leaf_changed_loads_or_raises_its_typed_error(documents, data):
+    """Nulls, bools, text, huge integers, NaN, +-Infinity, lists and objects: nothing
+    but the loader's own error may escape."""
+    file, doc, load, error = documents[data.draw(st.sampled_from(sorted(documents)))]
+    *parents, last = data.draw(st.sampled_from(list(_leaves(doc))))
+    node = doc = copy.deepcopy(doc)
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(_JSON_VALUES)
+    file.write_text(json.dumps(doc))
+    try:
+        load(file)
+    except error:
+        pass

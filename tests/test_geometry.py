@@ -192,6 +192,22 @@ def test_undistort_many_round_trips_up_to_the_fold(lens, frac, theta):
     assert np.max(np.abs(back - p)) <= 1e-12 * max(1.0, r)
 
 
+def test_undistort_many_round_trips_on_mixed_sign_folding_lenses():
+    """A Newton step can cross the fold of a lens like k1 = 0.817, k2 = -0.586 onto the
+    far branch; every point up to 1e-15 short of the fold still round-trips within 1e-12."""
+    rng = np.random.default_rng(3)
+    for k1, k2 in [(0.817, -0.586), *rng.uniform(-0.99, 0.99, (60, 2))]:
+        intr = Intrinsics(600.0, 600.0, 256.0, 256.0, k1=k1, k2=k2)
+        fold = distortion_fold(intr)
+        if fold is None:
+            continue
+        r = np.linspace(0.0, 1.0 - 1e-15, 2000) * fold[1]
+        theta = rng.uniform(-math.pi, math.pi, r.size)
+        p = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+        back = distort_normalized(intr, undistort_many(intr, p))
+        assert np.max(np.abs(back - p)) <= 1e-12, (k1, k2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(grid=hnp.arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(2)),
                        elements=st.floats(-2.0, 2.0)))
