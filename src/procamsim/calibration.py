@@ -36,7 +36,7 @@ from .geometry import (
 from .imaging import CAPTURE_SUPERSAMPLE, DEFAULT_SENSOR_SIGMA, _undistorted_grid
 from .optim import levenberg_marquardt
 from .optics import EtlModel, current_for_power, intrinsics_at_power, power_for_focus
-from .scene import _naming, _read_object, marker_corners_3d, write_object
+from .scene import _naming, _read_object, _value, marker_corners_3d, write_object
 from .vision import NoiseModel, oracle_detect
 
 MIN_CORRESPONDENCES = 16
@@ -386,11 +386,11 @@ def load_profile(path) -> IntrinsicProfile:
     with _naming(f"profile {path}", SchemaError):
         return IntrinsicProfile(
             entries=tuple(
-                ProfileEntry(float(raw["power_d"]), float(raw["current_ma"]),
-                             Intrinsics(**{f: float(raw[f]) for f in _INTRINSIC_FIELDS}),
-                             float(raw["rms_px"]))
+                ProfileEntry(_value(raw, "power_d"), _value(raw, "current_ma"),
+                             Intrinsics(**{f: _value(raw, f) for f in _INTRINSIC_FIELDS}),
+                             _value(raw, "rms_px"))
                 for raw in doc["entries"]
             ),
-            device_wh=(int(doc["device"]["width"]), int(doc["device"]["height"])),
-            etl_hash=str(doc.get("etl_hash", "")),
+            device_wh=(_value(doc["device"], "width", int), _value(doc["device"], "height", int)),
+            etl_hash=_value(doc, "etl_hash", str, ""),
         )

@@ -13,11 +13,14 @@ from .geometry import Intrinsics
 from .imaging import DEFAULT_SENSOR_SIGMA, ExternalCamera, default_external_camera
 from .optics import EtlModel
 from .pipeline import EMA_ALPHA, SETTLE_STEPS, DpmSetup, EvalSetup, Rig
-from .scene import WORKING_RANGE_MM, _naming, _read_object
+from .scene import WORKING_RANGE_MM, _naming, _read_object, _value
 from .vision import _MIN_IMAGE_PX, NoiseModel
 
 DETECTOR_MODES = ("image", "oracle")
 DEFAULT_STATIONS = [70.0, 90.0, 110.0, 130.0, 150.0, 170.0, 190.0, 210.0, 230.0, 250.0]
+# The most frames a dpm run or an eval station may ask for. A tracked dpm frame
+# writes about 2.5 MB of images, so a run at the cap already writes 2.5 TB.
+MAX_FRAMES = 10 ** 6
 
 # The default device; its principal point is derived (see _device).
 _DEVICE = {"width": 512, "height": 512, "fx": 600.0, "fy": 600.0, "k1": -0.05, "k2": 0.01}
@@ -61,6 +64,9 @@ class RunConfig:
         check("positive", settle_steps=self.settle_steps, dpm_frames=self.dpm_frames,
               wiener_nsr=self.wiener_nsr)
         check(eval_tilt_deg=self.eval_tilt_deg)
+        for name, count in (("settle_steps", self.settle_steps), ("dpm_frames", self.dpm_frames)):
+            if count > MAX_FRAMES:
+                raise ValueError(f"{name} must be at most {MAX_FRAMES}")
         if min(self.device_wh) < _MIN_IMAGE_PX:
             raise ValueError(f"device width and height must be at least {_MIN_IMAGE_PX} px, "
                              f"got {self.device_wh[0]}x{self.device_wh[1]}")
@@ -80,9 +86,9 @@ class RunConfig:
 
 def _device(dev: dict) -> dict:
     """Typed device block; a principal point it does not name sits at the raster centre."""
-    w, h = int(dev["width"]), int(dev["height"])
-    return {"width": w, "height": h, **{k: float(dev[k]) for k in ("fx", "fy", "k1", "k2")},
-            "cx": float(dev.get("cx", w / 2.0)), "cy": float(dev.get("cy", h / 2.0))}
+    w, h = _value(dev, "width", int), _value(dev, "height", int)
+    return {"width": w, "height": h, **{k: _value(dev, k) for k in ("fx", "fy", "k1", "k2")},
+            "cx": _value(dev, "cx", float, w / 2.0), "cy": _value(dev, "cy", float, h / 2.0)}
 
 
 def load_config(path) -> RunConfig:
@@ -93,7 +99,7 @@ def load_config(path) -> RunConfig:
     """
     doc = _read_object(path, "config", ConfigError)
     with _naming("config", ConfigError):
-        seed, scene_path = int(doc["seed"]), str(doc["scene"])
+        seed, scene_path = _value(doc, "seed", int), _value(doc, "scene", str)
     if not os.path.isfile(scene_path):
         raise ConfigError(f"scene file {scene_path!r} does not exist")
     defaults = default_config_document()
@@ -103,12 +109,12 @@ def load_config(path) -> RunConfig:
         base_intrinsics = Intrinsics(**device)
     with _naming("etl block", ConfigError):
         etl_doc = {**defaults["etl"], **doc.get("etl", {})}
-        etl = EtlModel(**{name: float(etl_doc[key]) for key, name in _ETL_KEYS.items()})
+        etl = EtlModel(**{name: _value(etl_doc, key) for key, name in _ETL_KEYS.items()})
     doc = {**defaults, **doc}
     with _naming("noise block", ConfigError):
         noise = {**defaults["noise"], **doc["noise"]}
-        sensor_sigma = float(noise["sensor_sigma"])
-        corner_noise = NoiseModel(**{name: float(noise[key]) for key, name in _NOISE_KEYS.items()})
+        sensor_sigma = _value(noise, "sensor_sigma")
+        corner_noise = NoiseModel(**{name: _value(noise, key) for key, name in _NOISE_KEYS.items()})
     with _naming("config", ConfigError):
         return RunConfig(
             seed=seed,
@@ -116,10 +122,10 @@ def load_config(path) -> RunConfig:
             base_intrinsics=base_intrinsics,
             etl=etl,
             scene_path=scene_path,
-            stations=[float(z) for z in doc["stations_mm"]],
+            stations=_value(doc, "stations_mm", lambda zs: [float(z) for z in zs]),
             sensor_sigma=sensor_sigma,
             corner_noise=corner_noise,
-            **{key: type(default)(doc[key]) for key, default in _RUN.items()},
+            **{key: _value(doc, key, type(default)) for key, default in _RUN.items()},
         )
 
 

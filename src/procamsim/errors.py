@@ -37,10 +37,6 @@ class DegenerateConfiguration(ProcamError):
     """Point configuration is rank-deficient for the requested estimation."""
 
 
-class PointAtInfinity(ProcamError):
-    """Projective transfer denominator vanished."""
-
-
 # --- optics -----------------------------------------------------------------
 
 class FocusBeyondInfinity(ProcamError):

@@ -18,7 +18,6 @@ from .errors import (
     BehindCamera,
     BeyondDistortionRange,
     DegenerateConfiguration,
-    PointAtInfinity,
     PointBehindCamera,
     check,
 )
@@ -82,10 +81,6 @@ class Pose:
             raise ValueError("rotation determinant must be +1")
 
     @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    @staticmethod
     def from_vector(x) -> "Pose":
         """Pose from the 6-vector (axis-angle radians, translation mm) that the LMs refine."""
         return Pose(rotation_from_axis_angle(x[:3]), x[3:6])
@@ -98,10 +93,6 @@ class Pose:
         """Return self ∘ other (apply ``other`` first)."""
         return Pose(self.rotation @ other.rotation,
                     self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Map (..., 3) object-frame points into the device frame."""
@@ -327,20 +318,6 @@ def extrinsics_from_homography(intr: Intrinsics, h: Homography) -> Pose:
         rot = nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=1))
         return Pose(rot, t)
     raise BehindCamera("both sign choices leave the board behind the lens")
-
-
-def apply_homography(h: Homography, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    m = h.matrix if isinstance(h, Homography) else np.asarray(h, dtype=float)
-    den = m[2, 0] * p[0] + m[2, 1] * p[1] + m[2, 2]
-    if abs(den) <= 1e-12:
-        raise PointAtInfinity(f"projective denominator {den:.3e} vanishes")
-    return np.array(
-        [
-            (m[0, 0] * p[0] + m[0, 1] * p[1] + m[0, 2]) / den,
-            (m[1, 0] * p[0] + m[1, 1] * p[1] + m[1, 2]) / den,
-        ]
-    )
 
 
 def rotation_from_axis_angle(axis_angle) -> np.ndarray:

@@ -406,7 +406,7 @@ def checker_pattern(
     return Image.from_array(low + (high - low) * cells)
 
 
-# --- PPM / PGM I/O -----------------------------------------------------------
+# --- PPM / PGM output ---------------------------------------------------------
 
 def write_image(img: Image, path) -> None:
     """Write binary PGM (1 channel) or PPM (3 channels), 8-bit."""
@@ -419,34 +419,3 @@ def write_image(img: Image, path) -> None:
     except OSError as exc:
         raise IoError(f"cannot write image {path}: {exc}") from exc
 
-
-def read_image(path) -> Image:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read image {path}: {exc}") from exc
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        # Header tokens are whitespace-separated; '#' starts a comment.
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if magic not in (b"P5", b"P6") or maxval != 255:
-        raise IoError(f"unsupported image format in {path}")
-    channels = 1 if magic == b"P5" else 3
-    expected = width * height * channels
-    data = np.frombuffer(raw[pos:pos + expected], dtype=np.uint8)
-    if data.size != expected:
-        raise IoError(f"truncated image data in {path}")
-    return Image.from_array(data.reshape(height, width, channels) / 255.0)

@@ -9,7 +9,6 @@ scene.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -24,6 +23,7 @@ from .geometry import Intrinsics, Pose, project, rotation_from_axis_angle, undis
 from .image import Image
 from .imaging import (
     DEFAULT_SENSOR_SIGMA,
+    ExternalCamera,
     centroid,
     default_external_camera,
     face_ray_homography,
@@ -452,7 +452,7 @@ class DpmSetup(Rig):
     frames: int = 60
     wiener_nsr: float = 0.01
     ambient: float = 0.15
-    external_camera: object = None
+    external_camera: ExternalCamera = field(default_factory=default_external_camera)
 
 
 def run_dpm(setup: DpmSetup, trajectory: Trajectory, out_dir=None):
@@ -461,7 +461,6 @@ def run_dpm(setup: DpmSetup, trajectory: Trajectory, out_dir=None):
     Returns (records, artifacts): per-frame metric records and the list of
     image files written when ``out_dir`` is given.
     """
-    ext = setup.external_camera or default_external_camera()
     target = setup.prism
     state = ControllerState.initial(setup.profile, setup.etl)
     records = []
@@ -510,7 +509,8 @@ def run_dpm(setup: DpmSetup, trajectory: Trajectory, out_dir=None):
             irradiance = render_projection_on_surface(
                 device_img, target, pose_true, setup.etl, setup.base_intrinsics, power_new,
             )
-            external = render_external(ext, target, pose_true, irradiance, setup.ambient)
+            external = render_external(setup.external_camera, target, pose_true, irradiance,
+                                       setup.ambient)
             timings["project_render"] = 1000.0 * (time.perf_counter() - t0)
 
             intr_true = optics.intrinsics_at_power(setup.etl, setup.base_intrinsics, power_new)
@@ -600,14 +600,6 @@ def write_metrics(records: list[FrameRecord], path) -> None:
     """
     write_table(path, METRICS_FIELDS,
                 ([getattr(rec, f) for f in METRICS_FIELDS] for rec in records))
-
-
-def read_metrics(path) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return list(csv.DictReader(fh))
-    except OSError as exc:
-        raise IoError(f"cannot read metrics {path}: {exc}") from exc
 
 
 def write_timings(records: list[FrameRecord], path) -> None:

@@ -127,19 +127,11 @@ class FiducialMarker:
 
     id: int
     side_mm: float = 13.0
-    bits: np.ndarray = field(default=None, repr=False)
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check("positive", side_mm=self.side_mm)
-        bits = self.bits if self.bits is not None else encode_marker_bits(self.id)
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (MARKER_CELLS, MARKER_CELLS):
-            raise ValueError("marker grid must be 6x6")
-        if bits[0, :].any() or bits[-1, :].any() or bits[:, 0].any() or bits[:, -1].any():
-            raise ValueError("border cells must be black")
-        decoded = decode_payload(bits[1:5, 1:5])
-        if decoded is None or decoded != (self.id, 0):
-            raise ValueError("payload does not validate for this id")
+        bits = encode_marker_bits(self.id)
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
@@ -443,22 +435,6 @@ def sample_trajectory(traj: Trajectory, t: float) -> Pose:
     return frames[-1][1]
 
 
-# --- default targets ---------------------------------------------------------
-
-def evaluation_board() -> FiducialBoard:
-    """One centered 13 mm marker with four reference dots at (+-15, +-15) mm."""
-    return load_target(default_scene_document()["targets"]["evaluation_board"])
-
-
-def calibration_board() -> FiducialBoard:
-    """3x3 grid of 13 mm markers at an 18 mm pitch: 36 corners per view."""
-    return load_target(default_scene_document()["targets"]["calibration_board"])
-
-
-def hex_prism() -> PrismTarget:
-    return PrismTarget()
-
-
 # --- JSON loading ------------------------------------------------------------
 
 def _read_object(path, what: str, error=SceneFormatError, unreadable=None) -> dict:
@@ -476,14 +452,38 @@ def _read_object(path, what: str, error=SceneFormatError, unreadable=None) -> di
     return doc
 
 
+_MALFORMED = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+
+
+def _detail(exc: Exception):
+    return f"missing key {exc}" if isinstance(exc, KeyError) else exc
+
+
 @contextmanager
 def _naming(what: str, error=SceneFormatError):
     """Report a missing or malformed value inside the block as ``error`` naming ``what``."""
     try:
         yield
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise error(f"bad {what}: {detail}") from exc
+    except _MALFORMED as exc:
+        raise error(f"bad {what}: {_detail(exc)}") from exc
+
+
+def _value(doc: dict, key: str, kind=float, *default):
+    """``kind`` of ``doc[key]``, or of ``default`` when given and ``doc`` lacks ``key``.
+
+    A value that ``kind`` rejects raises ValueError naming ``key``, so the
+    enclosing ``_naming`` block reports the key the document spells; an item
+    of a list is reported under the list's key.
+    """
+    value = doc[key] if key in doc or not default else default[0]
+    try:
+        return kind(value)
+    except _MALFORMED as exc:
+        raise ValueError(f"{key}: {_detail(exc)}") from exc
+
+
+def _pair(value) -> tuple[float, float]:
+    return float(value[0]), float(value[1])
 
 
 def write_object(path, doc: dict, what: str) -> None:
@@ -498,23 +498,23 @@ def write_object(path, doc: dict, what: str) -> None:
 
 def _given(doc: dict, **kinds) -> dict:
     """The keys ``doc`` holds among ``kinds``, converted; the rest keep their defaults."""
-    return {key: kind(doc[key]) for key, kind in kinds.items() if key in doc}
+    return {key: _value(doc, key, kind) for key, kind in kinds.items() if key in doc}
 
 
 def _board_from_dict(doc: dict) -> FiducialBoard:
     with _naming("board document"):
         markers = [
             MarkerPlacement(
-                FiducialMarker(int(m["id"]), **_given(m, side_mm=float)),
-                (float(m["center_mm"][0]), float(m["center_mm"][1])),
+                FiducialMarker(_value(m, "id", int), **_given(m, side_mm=float)),
+                _value(m, "center_mm", _pair),
                 **_given(m, angle_rad=float),
             )
             for m in doc["markers"]
         ]
         return FiducialBoard(
             markers=markers,
-            reference_dots=[(float(d[0]), float(d[1])) for d in doc.get("reference_dots", [])],
-            extent_mm=(float(doc["extent_mm"][0]), float(doc["extent_mm"][1])),
+            reference_dots=_value(doc, "reference_dots", lambda ds: list(map(_pair, ds)), []),
+            extent_mm=_value(doc, "extent_mm", _pair),
             **_given(doc, dot_radius_mm=float),
         )
 
@@ -577,10 +577,10 @@ def load_trajectory(path) -> Trajectory:
     with _naming("trajectory document"):
         return Trajectory(tuple(
             (
-                float(k["t"]),
+                _value(k, "t"),
                 Pose(
-                    rotation_from_axis_angle(k.get("axis_angle", [0.0, 0.0, 0.0])),
-                    np.asarray(k["translation"], dtype=float),
+                    _value(k, "axis_angle", rotation_from_axis_angle, (0.0, 0.0, 0.0)),
+                    _value(k, "translation", lambda v: np.array(v, dtype=float).reshape(3)),
                 ),
             )
             for k in doc["keyframes"]

@@ -438,36 +438,41 @@ def test_profile_load_rejects_bad_version(tmp_path, clean_profile):
         load_profile(path)
 
 
-def _with_nan(doc: dict, i: int, field: str) -> dict:
-    """``doc`` with NaN in ``field`` of entry ``i`` (a negative ``i`` counts from the end)."""
+def _with(doc: dict, i: int, field: str, value) -> dict:
+    """``doc`` with ``value`` in ``field`` of entry ``i`` (a negative ``i`` counts from the end)."""
     entries = [dict(e) for e in doc["entries"]]
-    entries[i][field] = float("nan")
+    entries[i][field] = value
     return {**doc, "entries": entries}
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda doc: [], id="document-is-a-list"),
-    pytest.param(lambda doc: {**doc, "entries": [5, *doc["entries"]]}, id="entry-is-a-number"),
-    pytest.param(lambda doc: {**doc, "entries": [{**doc["entries"][0], "fx": None},
-                                                 *doc["entries"][1:]]}, id="fx-is-null"),
-    pytest.param(lambda doc: {**doc, "device": {"width": "wide", "height": 512}},
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda doc: [], None, id="document-is-a-list"),
+    pytest.param(lambda doc: {**doc, "entries": [5, *doc["entries"]]}, None,
+                 id="entry-is-a-number"),
+    pytest.param(lambda doc: _with(doc, 0, "fx", None), "fx", id="fx-is-null"),
+    pytest.param(lambda doc: {**doc, "device": {"width": "wide", "height": 512}}, "width",
                  id="width-is-text"),
-    pytest.param(lambda doc: {**doc, "device": {"width": float("inf"), "height": 512}},
+    pytest.param(lambda doc: {**doc, "device": {"width": float("inf"), "height": 512}}, "width",
                  id="width-is-infinite"),
-    pytest.param(lambda doc: {**doc, "entries": doc["entries"][:1]}, id="one-entry"),
-    *(pytest.param(lambda doc, i=i, field=field: _with_nan(doc, i, field),
+    pytest.param(lambda doc: {**doc, "entries": doc["entries"][:1]}, None, id="one-entry"),
+    *(pytest.param(lambda doc, i=i, field=field: _with(doc, i, field, float("nan")), field,
                    id=f"entry-{i}-{field}-is-nan")
       for i, field in [(0, "power_d"), (-1, "power_d"), (4, "power_d"),
                        (4, "current_ma"), (4, "rms_px")]),
+    *(pytest.param(lambda doc, field=field, value=value: _with(doc, 4, field, value), field,
+                   id=f"entry-4-{field}-is-{label}")
+      for field, value, label in [("fx", "x", "text"), ("power_d", 10 ** 400, "huge"),
+                                  ("rms_px", None, "null")]),
 ])
 def test_profile_load_rejects_malformed_documents_with_schema_error(tmp_path, clean_profile,
-                                                                    edit):
+                                                                    edit, named):
+    """``named`` is the key the message must name, where one value is at fault."""
     import json
 
     path = tmp_path / "profile.json"
     save_profile(clean_profile, path)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=named):
         load_profile(path)
 
 

@@ -1,17 +1,20 @@
 import copy
+import csv
 import dataclasses
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procamsim import imaging
+from procamsim import imaging, pipeline
 from procamsim.calibration import load_profile, save_profile
 from procamsim.cli import main
 from procamsim.config import _ETL_KEYS, _NOISE_KEYS, default_config_document, load_config
 from procamsim.errors import ConfigError, SceneFormatError, SchemaError
+from procamsim.image import Image
 from procamsim.optics import EtlModel
 from procamsim.pipeline import DpmSetup, EvalSetup, Rig
 from procamsim.scene import default_scene_document, load_scene, load_trajectory
@@ -288,10 +291,21 @@ def test_cmd_dpm_empty_trajectory_exits_2(workspace):
     ("noise.corner_sigma0", math.nan),
     ("noise.corner_eta", math.nan),
     ("eval_tilt_deg", math.nan),
+    pytest.param("etl.z0_mm", 10 ** 400, id="etl.z0_mm-huge"),
+    ("etl.z0_mm", "abc"),
+    ("etl.z0_mm", None),
+    ("device.fx", "x"),
+    ("stations_mm", [70.0, 150.0, "x"]),
+    ("ema_alpha", "x"),
+    ("noise.corner_eta", [1]),
+    pytest.param("dpm_frames", 10 ** 400, id="dpm_frames-huge"),
+    pytest.param("dpm_frames", 2 ** 63, id="dpm_frames-2**63"),
+    pytest.param("settle_steps", 10 ** 400, id="settle_steps-huge"),
 ])
 def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, value):
     """``key`` may name a field inside a block, as ``block.field``; the error names
-    the model field that a lens or noise key sets."""
+    the model field that a lens or noise key sets, or the key of a value it cannot
+    convert. A frame count past ``MAX_FRAMES`` is refused before anything runs."""
     tmp_path, config, traj = workspace
     profile = tmp_path / "profile.json"
     assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
@@ -312,20 +326,28 @@ def test_cmd_dpm_rejects_bad_run_numbers_before_output(workspace, capsys, key, v
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, 10 ** 400], ids=["NaN", "Infinity", "huge"])
-def test_cmd_dpm_rejects_a_bad_keyframe_time_before_output(workspace, capsys, t):
+@pytest.mark.parametrize("key, value, named", [
+    ("t", math.nan, "keyframe 1 time"),
+    ("t", math.inf, "keyframe 1 time"),
+    ("t", 10 ** 400, "document: t: "),
+    ("t", "x", "document: t: "),
+    ("axis_angle", [1, "a", 0], "document: axis_angle: "),
+], ids=["NaN", "Infinity", "huge", "text", "axis-angle-text"])
+def test_cmd_dpm_rejects_a_bad_keyframe_time_before_output(workspace, capsys, key, value, named):
+    """A bad number in the last keyframe: one line naming it, exit 2, no output."""
     tmp_path, config, traj = workspace
     profile = tmp_path / "profile.json"
     assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
     doc = json.loads(traj.read_text())
-    doc["keyframes"][-1]["t"] = t
+    doc["keyframes"][-1][key] = value
     traj.write_text(json.dumps(doc))
     capsys.readouterr()
     out_dir = tmp_path / "run"
     code = main(["dpm", "--config", str(config), "--profile", str(profile),
                  "--trajectory", str(traj), "--out-dir", str(out_dir)])
     assert code == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
     assert not out_dir.exists()
 
 
@@ -493,6 +515,35 @@ def test_cmd_dpm_prism_leaving_the_view_loses_frames_not_the_run(workspace):
                  "--trajectory", str(sideways), "--out-dir", str(out_dir)])
     assert code in (0, 4)
     assert len((out_dir / "metrics.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("capture", [
+    pytest.param(lambda wh, seed: np.random.default_rng(seed).uniform(size=(wh[1], wh[0])),
+                 id="uniform-noise"),
+    pytest.param(lambda wh, seed: np.zeros((wh[1], wh[0])), id="all-black"),
+])
+def test_cmd_dpm_exits_4_when_no_capture_shows_the_target(workspace, monkeypatch, capture):
+    """Noise or black in place of every IR capture: each frame is lost, and run_dpm
+    returns its records."""
+
+    def render(target, pose, etl, base_intr, power, device_wh, seed=0, **_):
+        return Image.from_array(capture(device_wh, seed))
+
+    tmp_path, config, _ = workspace
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", str(config), "--out", str(profile)]) == 0
+    doc = json.loads(config.read_text())
+    doc["detector"], doc["dpm_frames"] = "image", 6
+    config.write_text(json.dumps(doc))
+    monkeypatch.setattr(pipeline, "render_capture", render)
+    out_dir = tmp_path / "run"
+    code = main(["dpm", "--config", str(config), "--profile", str(profile),
+                 "--trajectory", str(REPO / "configs" / "trajectory.json"),
+                 "--out-dir", str(out_dir)])
+    assert code == 4
+    with open(out_dir / "metrics.csv", encoding="utf-8", newline="") as fh:
+        lost = [row["target_lost"] for row in csv.DictReader(fh)]
+    assert lost == ["1"] * 6
 
 
 @pytest.fixture(scope="module")

@@ -52,3 +52,33 @@ def test_every_error_class_is_raised_in_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert classes - raised == {"ProcamError"}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier ``path`` uses: names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_unit_tests():
+    """A command, a run or the benchmark must name each one; code that only unit
+    tests reach is deleted instead of kept for them."""
+    repo = SRC.parents[1]
+    callers = [*SRC.glob("*.py"), *(repo / "perfbench").glob("*.py"),
+               repo / "tests" / "test_acceptance.py"]
+    named = set().union(*map(_names, callers))
+    unnamed = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in _tree(path.stem).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in named
+    }
+    assert unnamed == set()

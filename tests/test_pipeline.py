@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import math
 from dataclasses import replace
@@ -28,7 +29,6 @@ from procamsim.pipeline import (
     autofocus_step,
     dot_projection_texture,
     projection_textures,
-    read_metrics,
     recovery_state,
     run_alignment_eval,
     run_dpm,
@@ -350,7 +350,8 @@ def test_write_metrics_round_trip(tmp_path):
     write_metrics([rec], path)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
-    rows = read_metrics(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert float(rows[0]["estimated_distance_mm"]) == rec.estimated_distance_mm
     assert float(rows[0]["misalignment_mm"]) == rec.misalignment_mm
     assert rows[0]["zone"] == "blue"

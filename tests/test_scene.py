@@ -20,12 +20,9 @@ from procamsim.scene import (
     MarkerPlacement,
     PrismTarget,
     Trajectory,
-    calibration_board,
     decode_payload,
     default_scene_document,
     encode_marker_bits,
-    evaluation_board,
-    hex_prism,
     load_scene,
     load_trajectory,
     marker_corners_3d,
@@ -56,18 +53,16 @@ def test_marker_id_range_checked():
         encode_marker_bits(-1)
 
 
-def test_marker_corners_centered_board():
-    board = evaluation_board()
-    corners = marker_corners_3d(board, 0)
+def test_marker_corners_centered_board(eval_board):
+    corners = marker_corners_3d(eval_board, 0)
     expected = np.array(
         [[-6.5, -6.5, 0.0], [6.5, -6.5, 0.0], [6.5, 6.5, 0.0], [-6.5, 6.5, 0.0]]
     )
     assert np.max(np.abs(corners - expected)) < 1e-12
 
 
-def test_marker_corners_square_planar_ccw():
-    board = evaluation_board()
-    corners = marker_corners_3d(board, 0)
+def test_marker_corners_square_planar_ccw(eval_board):
+    corners = marker_corners_3d(eval_board, 0)
     sides = np.linalg.norm(np.roll(corners, -1, axis=0) - corners, axis=1)
     assert np.max(np.abs(sides - 13.0)) < 1e-12
     assert np.max(np.abs(corners[:, 2])) < 1e-12
@@ -77,7 +72,7 @@ def test_marker_corners_square_planar_ccw():
 
 
 def test_prism_marker_corner_radius():
-    prism = hex_prism()
+    prism = PrismTarget()
     for k, marker_id in enumerate(prism.marker_ids):
         corners = marker_corners_3d(prism, marker_id)
         center, _, _, _ = prism.face_frame(k)
@@ -86,36 +81,36 @@ def test_prism_marker_corner_radius():
 
 
 def test_prism_dihedral_structure():
-    prism = hex_prism()
+    prism = PrismTarget()
     for k in range(6):
         _, _, _, n0 = prism.face_frame(k)
         _, _, _, n1 = prism.face_frame((k + 1) % 6)
         assert math.degrees(math.acos(np.clip(n0 @ n1, -1, 1))) == pytest.approx(60.0)
 
 
-def test_unknown_marker_id():
+def test_unknown_marker_id(eval_board):
     with pytest.raises(UnknownMarkerId):
-        marker_corners_3d(evaluation_board(), 99)
+        marker_corners_3d(eval_board, 99)
     with pytest.raises(UnknownMarkerId):
-        marker_corners_3d(hex_prism(), 99)
+        marker_corners_3d(PrismTarget(), 99)
 
 
 def test_visible_faces_frontal():
-    prism = hex_prism()
+    prism = PrismTarget()
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 150.0]))
     vis = visible_faces(prism, pose)
     assert set(vis) == {0, 1, 5}
 
 
 def test_visible_faces_rotated_half_turn():
-    prism = hex_prism()
+    prism = PrismTarget()
     rot = rotation_from_axis_angle(np.array([0.0, math.pi, 0.0]))
     vis = visible_faces(prism, Pose(rot, np.array([0.0, 0.0, 150.0])))
     assert set(vis) == {2, 3, 4}
 
 
 def test_visible_faces_strict_boundary():
-    prism = hex_prism()
+    prism = PrismTarget()
     # Exact quarter turn about y: face 0's normal lands exactly perpendicular
     # to the view axis and the strict inequality must exclude it.
     rot = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -125,7 +120,7 @@ def test_visible_faces_strict_boundary():
 
 
 def test_visible_faces_count_range():
-    prism = hex_prism()
+    prism = PrismTarget()
     rng = np.random.default_rng(0)
     for _ in range(20):
         rot = rotation_from_axis_angle(rng.normal(size=3))
@@ -223,9 +218,8 @@ def test_board_rejects_dot_overlapping_marker():
         )
 
 
-def test_board_albedo_contains_marker_and_dots():
-    board = evaluation_board()
-    face = board.faces()[0]
+def test_board_albedo_contains_marker_and_dots(eval_board):
+    face = eval_board.faces()[0]
     albedo = face.albedo.data[:, :, 0]
     # marker center cell and a reference dot should be darker than background
     cx, cy = face.texture_px(0.0, 0.0)
@@ -378,6 +372,26 @@ def test_scene_json_errors(tmp_path):
             load_scene(path)
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("calibration_board", "center_mm", None),
+    ("calibration_board", "id", "x"),
+    ("evaluation_board", "reference_dots", [[1.0, "a"]]),
+    ("evaluation_board", "extent_mm", [50.0]),
+    ("prism", "face_width_mm", "x"),
+    ("prism", "marker_ids", [10, 11, 12, 13, 14, None]),
+])
+def test_a_value_the_loader_cannot_convert_is_named_by_its_key(tmp_path, name, key, value):
+    """A marker's own keys are set on its first marker; an item of a list is named
+    by the list's key."""
+    doc = default_scene_document()
+    target = doc["targets"][name]
+    (target["markers"][0] if key in ("center_mm", "id") else target)[key] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SceneFormatError, match=f"document: {key}: "):
+        load_scene(path)
+
+
 def _marker_ids(target):
     return target.marker_ids() if isinstance(target, FiducialBoard) else list(target.marker_ids)
 
@@ -387,16 +401,14 @@ def test_scene_file_and_built_in_targets_match_the_default_document(tmp_path):
     path.write_text(json.dumps(default_scene_document()))
     documented = load_scene(path)
     shipped = load_scene(Path(__file__).resolve().parents[1] / "configs" / "scene.json")
-    built_in = {"calibration_board": calibration_board(),
-                "evaluation_board": evaluation_board(), "prism": hex_prism()}
-    assert documented.keys() == shipped.keys() == built_in.keys()
+    assert documented.keys() == shipped.keys()
     for name, target in documented.items():
-        for other in (shipped[name], built_in[name]):
-            assert type(other) is type(target)
-            assert _marker_ids(other) == _marker_ids(target)
-            assert len(other.faces()) == len(target.faces())
-            for a, b in zip(other.faces(), target.faces()):
-                assert np.array_equal(a.albedo.data, b.albedo.data)
+        other = shipped[name]
+        assert type(other) is type(target)
+        assert _marker_ids(other) == _marker_ids(target)
+        assert len(other.faces()) == len(target.faces())
+        for a, b in zip(other.faces(), target.faces()):
+            assert np.array_equal(a.albedo.data, b.albedo.data)
 
 
 def test_trajectory_json(tmp_path):
